@@ -16,6 +16,12 @@ import numpy as np
 
 from .graphs import Graph
 
+# the memory budget of a batched array pass, in array cells: batch_costs caps
+# its rows per chunk so that the gathered (edge, row) colour pairs and the
+# (colour, row) presence mask stay near it, and dica.descend does the same for
+# its neighbour-colour table
+BATCH_CELLS = 1 << 21
+
 
 @dataclass(frozen=True)
 class CostParams:
@@ -65,6 +71,47 @@ def cost_from_counts(conflicts: int, used: int, params: CostParams):
     if conflicts == 0:
         return used
     return conflicts * params.penalty + used
+
+
+def batch_costs(
+    g: Graph, rows: np.ndarray, params: CostParams
+) -> tuple[list, list[int], list[int]]:
+    """Cost, clash count and colour count of each row of a (count, n) colouring array.
+
+    Row i gets exactly what cost(g, rows[i], params), count_conflicts and
+    distinct_colours give it, int or float alike.  Rows are transposed to
+    (n, count) in the smallest unsigned dtype that holds the largest colour,
+    so each edge compares two contiguous rows, and are taken in chunks of
+    about BATCH_CELLS cells, in row order.
+    """
+    arr = np.asarray(rows)
+    if arr.ndim != 2 or arr.shape[1] != g.n:
+        raise ValueError(f"colourings of shape {arr.shape} do not match n={g.n}")
+    if arr.shape[0] == 0:
+        return [], [], []
+    top = int(arr.max())
+    if int(arr.min()) < 0 or top >= arr.size:
+        # colour values sparser than the cells: number them densely, which keeps
+        # every equality and bounds the presence mask by the array's size
+        _, dense = np.unique(arr, return_inverse=True)
+        arr = dense.reshape(arr.shape)
+        top = int(arr.max())
+    dtype = np.min_scalar_type(top)
+    eu, ev = g.edge_index_arrays
+    per_chunk = max(1, BATCH_CELLS // max(eu.size, g.n, top + 1))
+    conflicts: list[int] = []
+    used: list[int] = []
+    for start in range(0, arr.shape[0], per_chunk):
+        t = arr[start : start + per_chunk].T.astype(dtype, order="C")
+        conflicts += np.count_nonzero(t[eu] == t[ev], axis=0).tolist()
+        present = np.zeros((top + 1, t.shape[1]), dtype=bool)
+        present[t, np.arange(t.shape[1])] = True
+        used += np.count_nonzero(present, axis=0).tolist()
+    return (
+        [cost_from_counts(c, u, params) for c, u in zip(conflicts, used)],
+        conflicts,
+        used,
+    )
 
 
 def is_valid(g: Graph, col: Sequence[int]) -> bool:

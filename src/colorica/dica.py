@@ -4,10 +4,11 @@ A population of candidate colourings is split into empires, each holding one
 imperialist (its best member) and a share of colonies.  Every decade each
 colony is pulled toward its imperialist by two-point segment copy, may be
 perturbed by a two-cell swap, and can displace the imperialist if it gets
-cheaper.  Each imperialist then takes a few steps of clash-directed swap
-descent, a memetic addition in the manner of Tabucol (Hertz & de Werra 1987)
-and HEA (Galinier & Hao 1999): without it, empires homogenize and the damped
-revolution rate leaves nothing to cross the clash plateaus.  Empires that
+cheaper; the colonies of all empires move and are scored as one batch.  Each
+imperialist then takes a few steps of clash-directed swap descent, a memetic
+addition in the manner of Tabucol (Hertz & de Werra 1987) and HEA (Galinier &
+Hao 1999): without it, empires homogenize and the damped revolution rate
+leaves nothing to cross the clash plateaus.  Empires that
 look alike merge, and the weakest empire loses its worst colony to a
 roulette-picked rival until one empire remains or the decade budget runs out.
 """
@@ -20,7 +21,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coloring import CostParams, cost, cost_from_counts, count_conflicts, distinct_colours
+from .coloring import BATCH_CELLS, CostParams, batch_costs
+
+# `cost` is no longer called here but stays importable as colorica.dica.cost,
+# a name the benchmark's probe and its tests look up
+from .coloring import cost  # noqa: F401
 from .graphs import Graph, max_degree
 
 TERMINATED_DECADES = "decades_exhausted"
@@ -34,8 +39,8 @@ TERMINATED_EARLY_STOP = "early_stop"
 IMPERIALIST_DESCENT_STEPS = 4
 
 # rows per descent batch are capped so that its neighbour-colour table and its
-# per-edge index arrays stay near this many int64 cells (16 MB)
-_DESCENT_BATCH_CELLS = 1 << 21
+# per-edge index arrays stay near this many int64 cells (16 MB at 2^21)
+_DESCENT_BATCH_CELLS = BATCH_CELLS
 
 # inspection hook: (stage, decade, empires) -> None
 InspectFn = Callable[[str, int, list["Empire"]], None]
@@ -211,14 +216,24 @@ def assimilate_at(
     return child
 
 
+def _cut_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, 2) 1-based cut points c1 <= c2: two independent uniform draws, sorted."""
+    cuts = rng.integers(1, n + 1, size=(count, 2))
+    cuts.sort(axis=1)
+    return cuts
+
+
+def _swap_cells(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, 2) 0-based cell pairs, each a uniform draw of two distinct cells (n >= 2)."""
+    cells = rng.integers(0, [n, n - 1], size=(count, 2))
+    cells[:, 1] += cells[:, 1] >= cells[:, 0]
+    return cells
+
+
 def assimilate(
     imperialist: np.ndarray, colony: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    n = len(colony)
-    pts = rng.integers(1, n + 1, size=2)
-    c1, c2 = (int(pts[0]), int(pts[1]))
-    if c1 > c2:
-        c1, c2 = c2, c1
+    c1, c2 = _cut_points(len(colony), 1, rng)[0].tolist()
     return assimilate_at(imperialist, colony, c1, c2)
 
 
@@ -238,11 +253,34 @@ def revolve(colony: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     n = len(colony)
     if n < 2:
         return np.array(colony)
-    i = int(rng.integers(n))
-    j = int(rng.integers(n - 1))
-    if j >= i:
-        j += 1
+    i, j = _swap_cells(n, 1, rng)[0].tolist()
     return revolve_at(colony, i + 1, j + 1)
+
+
+def colony_step(
+    imperialists: np.ndarray,
+    colonies: np.ndarray,
+    owner: np.ndarray,
+    revolution_rate: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Assimilate and revolve a whole (count, n) batch of colonies at once.
+
+    Row i is pulled toward imperialists[owner[i]] by `assimilate` and, with
+    probability `revolution_rate`, then gets one `revolve` swap.  All cut
+    points, all revolution coins and all swap cells are drawn in one call
+    each.  Returns the children as a new array; the inputs are left untouched.
+    """
+    count, n = colonies.shape
+    cuts = _cut_points(n, count, rng)
+    cell = np.arange(1, n + 1)
+    inside = (cuts[:, :1] <= cell) & (cell <= cuts[:, 1:])
+    children = np.where(inside, imperialists[owner], colonies)
+    rows = np.flatnonzero(rng.random(count) < revolution_rate)
+    if n >= 2 and rows.size:
+        i, j = _swap_cells(n, rows.size, rng).T
+        children[rows, i], children[rows, j] = children[rows, j], children[rows, i]
+    return children
 
 
 def descend(
@@ -316,12 +354,7 @@ def descend(
         base = np.concatenate((plane[r], plane[r]))
         table[np.repeat(base + np.concatenate((am, bm)) * n, span) + around] -= 1
         table[np.repeat(base + np.concatenate((bm, am)) * n, span) + around] += 1
-    clashes = table[plane[:, None] + out * n + vertex].sum(axis=1) // 2
-    costs = [
-        cost_from_counts(c, distinct_colours(row), cost_params)
-        for c, row in zip(clashes.tolist(), out)
-    ]
-    return out, costs
+    return out, batch_costs(g, out, cost_params)[0]
 
 
 def exchange_if_better(empire: Empire) -> bool:
@@ -440,8 +473,10 @@ def imperialistic_competition(
 def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) -> RunResult:
     """Full search loop; deterministic for a given (graph, params) pair.
 
-    Every decade, once each empire has assimilated its colonies and made its
-    exchange, and before the `post_exchange` inspection, all imperialists get
+    Every decade all colonies, stacked in empire order, take one `colony_step`
+    and are scored together by `batch_costs`; the results go back into each
+    Empire before its exchange.  Once every empire has made its exchange, and
+    before the `post_exchange` inspection, all imperialists get
     IMPERIALIST_DESCENT_STEPS steps of `descend` together, drawn from the
     run's own RNG; each imperialist's cached cost and the best-so-far follow.
     """
@@ -451,7 +486,7 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     cost_params = CostParams(params.penalty if params.penalty is not None else float(g.n))
 
     population = init_population(g, params, rng)
-    costs = [cost(g, c, cost_params) for c in population]
+    costs, conflicts, used = batch_costs(g, np.stack(population), cost_params)
 
     n_imp = max(1, round(params.imperialist_fraction * params.population_size))
     if n_imp >= params.population_size:
@@ -464,8 +499,8 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     best_i = min(range(len(costs)), key=lambda i: costs[i])
     best = population[best_i]
     best_cost = costs[best_i]
-    best_conflicts = count_conflicts(g, best)
-    best_used = distinct_colours(best)
+    best_conflicts = conflicts[best_i]
+    best_used = used[best_i]
 
     history: list[float] = []
     revolution_rate = params.revolution_rate
@@ -473,19 +508,28 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     executed = 0
 
     for decade in range(params.decades):
-        for empire in empires:
-            for ci in range(len(empire.colonies)):
-                child = assimilate(empire.imperialist, empire.colonies[ci], rng)
-                if rng.random() < revolution_rate:
-                    child = revolve(child, rng)
-                child_cost = cost(g, child, cost_params)
-                empire.colonies[ci] = child
-                empire.colony_costs[ci] = child_cost
-                if child_cost < best_cost:
-                    best = child
-                    best_cost = child_cost
-                    best_conflicts = count_conflicts(g, child)
-                    best_used = distinct_colours(child)
+        sizes = [len(e.colonies) for e in empires]
+        children = colony_step(
+            np.stack([e.imperialist for e in empires]),
+            np.stack([c for e in empires for c in e.colonies]),
+            np.repeat(np.arange(len(empires)), sizes),
+            revolution_rate,
+            rng,
+        )
+        costs, conflicts, used = batch_costs(g, children, cost_params)
+        # the first cheapest child is the one a colony-by-colony scan would keep
+        i = int(np.argmin(costs))
+        if costs[i] < best_cost:
+            best = children[i]
+            best_cost = costs[i]
+            best_conflicts = conflicts[i]
+            best_used = used[i]
+        rows = list(children)
+        start = 0
+        for empire, size in zip(empires, sizes):
+            empire.colonies[:] = rows[start : start + size]
+            empire.colony_costs[:] = costs[start : start + size]
+            start += size
             exchange_if_better(empire)
         imperialists, imperialist_costs = descend(
             g,
@@ -499,8 +543,7 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
             if imp_cost < best_cost:
                 best = imp
                 best_cost = imp_cost
-                best_conflicts = count_conflicts(g, imp)
-                best_used = distinct_colours(imp)
+                (_,), (best_conflicts,), (best_used,) = batch_costs(g, imp[None], cost_params)
         if _inspect is not None:
             _inspect("post_exchange", decade, empires)
         empires = unite_similar_empires(empires, params.uniting_threshold, params.xi)

@@ -49,31 +49,38 @@ def _search(g: Graph, k: int, budget: int) -> tuple[bool, int]:
         for i, v in enumerate(order)
     ]
     colours = [0] * g.n
+    # an explicit stack in place of recursion, so that a long path cannot
+    # exhaust the recursion limit.  Position i's state is its untried colours,
+    # the colours its earlier neighbours hold (a bit mask) and the highest
+    # colour used before it; the stack holds that state for positions 0..i-1
+    stack = []
+    i, banned, ceiling = 0, 0, 0
+    untried = iter(range(1, min(k, 1) + 1))
     nodes = 0
-
-    def dfs(i: int, max_used: int) -> bool:
-        nonlocal nodes
-        if i == g.n:
-            return True
-        banned = 0
-        for q in earlier[i]:
-            banned |= 1 << colours[q]
-        top = min(k, max_used + 1)
-        for c in range(1, top + 1):
+    while True:
+        for c in untried:
             if banned >> c & 1:
                 continue
             nodes += 1
             if nodes > budget:
-                raise OracleLimitExceeded(
-                    f"node budget {budget} exhausted checking k={k}"
-                )
+                raise OracleLimitExceeded(f"node budget {budget} exhausted checking k={k}")
             colours[i] = c
-            if dfs(i + 1, max_used if c <= max_used else c):
-                return True
-        colours[i] = 0
-        return False
-
-    return dfs(0, 0), nodes
+            if i + 1 == g.n:
+                return True, nodes
+            stack.append((untried, banned, ceiling))
+            i += 1
+            banned = 0
+            for q in earlier[i]:
+                banned |= 1 << colours[q]
+            if c > ceiling:
+                ceiling = c
+            untried = iter(range(1, (ceiling + 1 if ceiling < k else k) + 1))
+            break
+        else:
+            if not stack:
+                return False, nodes
+            untried, banned, ceiling = stack.pop()
+            i -= 1
 
 
 def exists_colouring(g: Graph, k: int, limit: OracleLimit = OracleLimit()) -> bool:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from colorica import coloring
 from colorica.coloring import (
     CostParams,
+    batch_costs,
     cost,
     count_conflicts,
     distinct_colours,
@@ -128,6 +130,84 @@ class TestCost:
             col = rng.integers(1, n + 1, size=n)
             if count_conflicts(g, col) == 0:
                 assert chi <= cost(g, col, params) <= n
+
+
+def _assert_rows_match(g, rows, params):
+    """batch_costs agrees with the one-row functions on every row, int or float alike."""
+    costs, conflicts, used = batch_costs(g, rows, params)
+    assert len(costs) == len(conflicts) == len(used) == len(rows)
+    for row, c, k, u in zip(rows, costs, conflicts, used):
+        want = cost(g, row, params)
+        assert c == want and type(c) is type(want)
+        assert k == count_conflicts(g, row) and type(k) is int
+        assert u == distinct_colours(row) and type(u) is int
+    return costs, conflicts, used
+
+
+class TestBatchCosts:
+    def test_matches_one_row_functions_on_random_graphs(self):
+        rng = np.random.default_rng(31)
+        for trial in range(60):
+            n = int(rng.integers(1, 12))
+            g = _random_graph(rng, n, p=float(rng.random()))
+            rows = rng.integers(1, int(rng.integers(1, n + 2)) + 1, size=(int(rng.integers(1, 40)), n))
+            # an int penalty keeps clashing costs int, a float one makes them float
+            _assert_rows_match(g, rows, CostParams(penalty=n if trial % 2 else float(n)))
+
+    def test_clashing_and_proper_rows_together(self):
+        g = complete_graph(4)
+        costs, conflicts, used = _assert_rows_match(
+            g, np.array([[1, 2, 3, 4], [1, 1, 2, 2], [3, 3, 3, 3]]), CostParams(4.0)
+        )
+        assert costs == [4, 10.0, 25.0] and conflicts == [0, 2, 6] and used == [4, 2, 1]
+
+    def test_edgeless_graph(self):
+        g = Graph(5, ())
+        costs, conflicts, _ = _assert_rows_match(
+            g, np.array([[1, 1, 1, 1, 1], [1, 2, 3, 2, 1]]), CostParams(5.0)
+        )
+        assert costs == [1, 3] and conflicts == [0, 0]
+
+    def test_single_vertex(self):
+        g = Graph(1, ())
+        costs, _, _ = _assert_rows_match(g, np.array([[1], [7], [300]]), CostParams(1.0))
+        assert costs == [1, 1, 1]
+
+    def test_colours_above_255(self):
+        # 1 and 257 (or 2 and 258) would be equal once narrowed to a byte
+        g = complete_graph(3)
+        rows = np.array([[1, 257, 2], [258, 2, 258], [255, 256, 511]])
+        costs, conflicts, _ = _assert_rows_match(g, rows, CostParams(3.0))
+        assert conflicts == [0, 1, 0]
+        rng = np.random.default_rng(37)
+        g = _random_graph(rng, 30, p=0.3)
+        _assert_rows_match(g, rng.integers(1, 600, size=(50, 30)), CostParams(30.0))
+
+    def test_sparse_colour_values(self):
+        g = complete_graph(3)
+        rows = np.array([[1, 65537, 10**12], [10**12, 5, 10**12], [0, -4, 0]])
+        costs, conflicts, used = _assert_rows_match(g, rows, CostParams(3.0))
+        assert conflicts == [0, 1, 1] and used == [3, 2, 2]
+
+    def test_tiny_chunk_cap_splits_rows_in_order(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        g = _random_graph(rng, 12, p=0.4)
+        rows = rng.integers(1, 6, size=(25, 12))
+        params = CostParams(12.0)
+        whole = batch_costs(g, rows, params)
+        # a cap below one row's cells puts every row in its own chunk
+        monkeypatch.setattr(coloring, "BATCH_CELLS", 1)
+        assert _assert_rows_match(g, rows, params) == whole
+        monkeypatch.setattr(coloring, "BATCH_CELLS", 3 * g.m)
+        assert batch_costs(g, rows, params) == whole
+
+    def test_no_rows_and_wrong_width(self):
+        g = complete_graph(3)
+        assert batch_costs(g, np.empty((0, 3), dtype=np.int64), CostParams(3.0)) == ([], [], [])
+        with pytest.raises(ValueError):
+            batch_costs(g, np.ones((2, 4), dtype=np.int64), CostParams(3.0))
+        with pytest.raises(ValueError):
+            batch_costs(g, np.ones(3, dtype=np.int64), CostParams(3.0))
 
 
 class TestValidityAndFormat:

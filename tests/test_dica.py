@@ -13,6 +13,7 @@ from colorica.dica import (
     Empire,
     assimilate,
     assimilate_at,
+    colony_step,
     descend,
     empire_total_cost,
     exchange_if_better,
@@ -309,6 +310,89 @@ class TestDescend:
         for col, row, row_cost in zip(cols, out, out_costs):
             alone, alone_costs = descend(g, col[None], 4, cp, rng)
             assert row.tolist() == alone[0].tolist() and row_cost == alone_costs[0]
+
+
+def _segment_copies(imp, col):
+    return [
+        assimilate_at(imp, col, c1, c2)
+        for c1 in range(1, len(col) + 1)
+        for c2 in range(c1, len(col) + 1)
+    ]
+
+
+def _one_swap_away(child, copies):
+    n = len(child)
+    return any(
+        np.array_equal(child, revolve_at(copy, p1, p2))
+        for copy in copies
+        for p1 in range(1, n + 1)
+        for p2 in range(p1 + 1, n + 1)
+    )
+
+
+class TestColonyStep:
+    def _batch(self, seed, count=30, n=6, empires=3):
+        rng = np.random.default_rng(seed)
+        imps = np.stack([rng.permutation(n) + 1 for _ in range(empires)])
+        cols = np.stack([rng.permutation(n) + 1 for _ in range(count)])
+        owner = rng.integers(empires, size=count)
+        return imps, cols, owner
+
+    def test_children_are_segment_copies_with_at_most_one_swap(self):
+        imps, cols, owner = self._batch(43)
+        kept = (imps.copy(), cols.copy())
+        children = colony_step(imps, cols, owner, 0.5, np.random.default_rng(1))
+        assert imps.tolist() == kept[0].tolist() and cols.tolist() == kept[1].tolist()
+        assert children.shape == cols.shape
+        swapped = 0
+        for child, col, e in zip(children, cols, owner):
+            copies = _segment_copies(imps[e], col)
+            plain = any(np.array_equal(child, c) for c in copies)
+            assert plain or _one_swap_away(child, copies)
+            swapped += not plain
+        assert 0 < swapped < len(children)
+
+    def test_rate_zero_never_swaps(self):
+        imps, cols, owner = self._batch(47)
+        children = colony_step(imps, cols, owner, 0.0, np.random.default_rng(2))
+        for child, col, e in zip(children, cols, owner):
+            assert any(np.array_equal(child, c) for c in _segment_copies(imps[e], col))
+        # cut points span segments of many lengths, not single cells
+        assert len({int(np.count_nonzero(ch != col)) for ch, col in zip(children, cols)}) >= 4
+
+    def test_rate_one_keeps_the_colour_multiset(self):
+        imps, _, owner = self._batch(53)
+        # colonies that already match their imperialist keep its multiset under
+        # every copy, so each child is exactly one swap of two distinct colours away
+        cols = imps[owner]
+        children = colony_step(imps, cols, owner, 1.0, np.random.default_rng(3))
+        for child, col in zip(children, cols):
+            assert sorted(child.tolist()) == sorted(col.tolist())
+            assert int(np.count_nonzero(child != col)) == 2
+        imps, cols, owner = self._batch(59)
+        children = colony_step(imps, cols, owner, 1.0, np.random.default_rng(4))
+        for child, col, e in zip(children, cols, owner):
+            assert _one_swap_away(child, _segment_copies(imps[e], col))
+
+    def test_single_vertex(self):
+        imps = np.array([[3], [5]])
+        cols = np.array([[1], [2], [4]])
+        children = colony_step(imps, cols, np.array([0, 1, 1]), 1.0, np.random.default_rng(5))
+        assert children.tolist() == [[3], [5], [5]]
+
+    def test_fixed_seed_fixed_batch(self):
+        imps, cols, owner = self._batch(61, count=50, n=9)
+        a = colony_step(imps, cols, owner, 0.3, np.random.default_rng(6))
+        b = colony_step(imps, cols, owner, 0.3, np.random.default_rng(6))
+        c = colony_step(imps, cols, owner, 0.3, np.random.default_rng(7))
+        assert a.tolist() == b.tolist() != c.tolist()
+
+    def test_assimilate_is_a_one_row_batch(self):
+        imps, cols, _ = self._batch(67, count=1, n=8, empires=1)
+        for seed in range(10):
+            child = colony_step(imps, cols, np.array([0]), 0.0, np.random.default_rng(seed))
+            alone = assimilate(imps[0], cols[0], np.random.default_rng(seed))
+            assert child[0].tolist() == alone.tolist()
 
 
 class TestExchange:

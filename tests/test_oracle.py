@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from colorica import oracle
 from colorica.graphs import Graph, complete_graph, mycielski_graph, queen_graph
 from colorica.oracle import (
     OracleLimit,
@@ -75,6 +76,46 @@ class TestKnownInstances:
     def test_odd_cycle_needs_three(self):
         g = Graph(5, ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5)))
         assert chromatic_number_exact(g) == 3
+
+    def test_path_longer_than_the_recursion_limit(self):
+        g = Graph(1500, tuple((v, v + 1) for v in range(1, 1500)))
+        assert chromatic_number_exact(g, OracleLimit(max_vertices=5000)) == 2
+
+
+class TestSearchNodes:
+    # (found, nodes) for k = 1..6, as counted by the recursive search this replaced
+    @pytest.mark.parametrize(
+        "g,expected",
+        [
+            (complete_graph(15), [(False, k) for k in range(1, 7)]),
+            (complete_graph(20), [(False, k) for k in range(1, 7)]),
+            (
+                mycielski_graph(4),
+                [(False, 2), (False, 9), (False, 77), (True, 11), (True, 11), (True, 11)],
+            ),
+            (
+                mycielski_graph(5),
+                [(False, 3), (False, 19), (False, 230), (False, 32362), (True, 23), (True, 23)],
+            ),
+            (
+                queen_graph(5),
+                [(False, 1), (False, 2), (False, 3), (False, 7), (True, 31), (True, 37)],
+            ),
+        ],
+        ids=["k15", "k20", "myciel3", "myciel4", "queen5_5"],
+    )
+    def test_node_counts_on_benchmark_instances(self, g, expected):
+        assert [oracle._search(g, k, 10**8) for k in range(1, 7)] == expected
+
+    def test_complete_graphs_at_their_chromatic_number(self):
+        assert oracle._search(complete_graph(15), 15, 10**8) == (True, 15)
+        assert oracle._search(complete_graph(20), 20, 10**8) == (True, 20)
+
+    def test_budget_refusal_at_the_same_node(self):
+        g = mycielski_graph(5)
+        assert oracle._search(g, 4, 32362) == (False, 32362)
+        with pytest.raises(OracleLimitExceeded, match="node budget 32361 exhausted checking k=4"):
+            oracle._search(g, 4, 32361)
 
 
 class TestCrossValidation:
