@@ -107,11 +107,9 @@ def batch_costs(
         present = np.zeros((top + 1, t.shape[1]), dtype=bool)
         present[t, np.arange(t.shape[1])] = True
         used += np.count_nonzero(present, axis=0).tolist()
-    return (
-        [cost_from_counts(c, u, params) for c, u in zip(conflicts, used)],
-        conflicts,
-        used,
-    )
+    # cost_from_counts, inlined: one call per row shows in a profile
+    penalty = params.penalty
+    return [u if c == 0 else c * penalty + u for c, u in zip(conflicts, used)], conflicts, used
 
 
 def is_valid(g: Graph, col: Sequence[int]) -> bool:

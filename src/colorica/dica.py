@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coloring import BATCH_CELLS, CostParams, batch_costs
+from .coloring import BATCH_CELLS, CostParams, batch_costs, cost_from_counts
 
 # `cost` is no longer called here but stays importable as colorica.dica.cost,
 # a name the benchmark's probe and its tests look up
@@ -296,10 +296,12 @@ def descend(
     scores swapping its colour with every vertex of another colour by the
     change in clash count (read from a row-by-colour-by-vertex table of
     neighbour counts), and applies the best swap, ties drawn uniformly, unless
-    it would add clashes.  Swaps keep each row's colour multiset, so a proper
-    colouring comes back unchanged and no cost rises.  Rows are taken in
-    batches small enough to bound that table's memory, in row order.  Returns
-    new colourings and their costs; the input is left untouched.
+    it would add clashes.  The neighbours of the drawn and moved vertices come
+    as 0/1 rows unpacked from `Graph.packed_adjacency`.  Swaps keep each row's
+    colour multiset, so a proper colouring comes back unchanged and no cost
+    rises.  Rows are taken in batches small enough to bound that table's
+    memory, in row order.  Returns new colourings and their costs, the costs
+    counted from the same table; the input is left untouched.
     """
     out = np.array(cols)
     count, n = out.shape
@@ -312,21 +314,22 @@ def descend(
             for i in range(0, count, per_batch)
         ]
         return np.concatenate([p[0] for p in parts]), [c for p in parts for c in p[1]]
-    nbrs = g.neighbour_index_arrays
-    degree = np.array([x.size for x in nbrs])
+    packed = g.packed_adjacency
     rows = np.arange(count)
     vertex = np.arange(n)
     # flat table: cell (row e, colour c, vertex x) = e * width * n + c * n + x
     # counts the neighbours of x that row e colours c
     plane = rows * (width * n)
     cells = count * width * n
-    table = np.bincount(
-        (plane[:, None] + out[:, ev] * n + eu).ravel(), minlength=cells
-    ) + np.bincount((plane[:, None] + out[:, eu] * n + ev).ravel(), minlength=cells)
+    # coloured[e, x] is where vertex x's own colour plane starts in row e
+    coloured = plane[:, None] + out * n
+    table = np.bincount((coloured[:, ev] + eu).ravel(), minlength=cells) + np.bincount(
+        (coloured[:, eu] + ev).ravel(), minlength=cells
+    )
+    by_colour = table.reshape(count, width, n)
     # above any real change: a swap alters at most 2 * (n - 1) clashes
     barred = 2 * n
     for _ in range(steps):
-        coloured = plane[:, None] + out * n
         own = table[coloured + vertex]
         clashing = own > 0
         active = clashing.any(axis=1)
@@ -335,10 +338,11 @@ def descend(
         v = np.where(clashing, rng.random((count, n)), -1.0).argmax(axis=1)
         a = out[rows, v]
         # v takes u's colour and u takes a; an edge u-v is counted on both sides
+        near_v = np.unpackbits(packed[v], axis=1, count=n)
         delta = table[coloured + v[:, None]] - own
-        delta += table[(plane + a * n)[:, None] + vertex]
+        delta += by_colour[rows, a]
         delta -= own[rows, v][:, None]
-        delta[np.repeat(rows, degree[v]), np.concatenate([nbrs[x] for x in v.tolist()])] -= 2
+        delta -= 2 * near_v
         delta[out == a[:, None]] = barred
         u = (delta + rng.random((count, n))).argmin(axis=1)
         move = active & (delta[rows, u] <= 0)
@@ -347,21 +351,24 @@ def descend(
         r, vm, um, am = rows[move], v[move], u[move], a[move]
         bm = out[r, um]
         out[r, vm], out[r, um] = bm, am
+        coloured = plane[:, None] + out * n
         # the neighbours of each moved vertex lose its old colour and gain its new one
-        moved = np.concatenate((vm, um))
-        span = degree[moved]
-        around = np.concatenate([nbrs[x] for x in moved.tolist()])
-        base = np.concatenate((plane[r], plane[r]))
-        table[np.repeat(base + np.concatenate((am, bm)) * n, span) + around] -= 1
-        table[np.repeat(base + np.concatenate((bm, am)) * n, span) + around] += 1
-    return out, batch_costs(g, out, cost_params)[0]
+        near_um = np.unpackbits(packed[um], axis=1, count=n)
+        gain = near_um.view(np.int8) - near_v[move].view(np.int8)
+        by_colour[r, am] += gain
+        by_colour[r, bm] -= gain
+    clashes = (table[coloured + vertex].sum(axis=1) // 2).tolist()
+    present = np.zeros((count, width), dtype=bool)
+    present[rows[:, None], out] = True
+    used = np.count_nonzero(present, axis=1).tolist()
+    return out, [cost_from_counts(c, k, cost_params) for c, k in zip(clashes, used)]
 
 
 def exchange_if_better(empire: Empire) -> bool:
     """Swap the imperialist with its cheapest colony when that colony is cheaper."""
     if not empire.colonies:
         return False
-    best = min(range(len(empire.colonies)), key=lambda i: empire.colony_costs[i])
+    best = empire.colony_costs.index(min(empire.colony_costs))
     if empire.colony_costs[best] < empire.imperialist_cost:
         empire.imperialist, empire.colonies[best] = (
             empire.colonies[best],
@@ -422,7 +429,7 @@ def unite_similar_empires(
     if len(empires) < 2:
         return empires
     totals = [empire_total_cost(e, xi) for e in empires]
-    imps = np.stack([e.imperialist for e in empires])
+    imps = np.array([e.imperialist for e in empires])
     rows, cols = np.triu_indices(len(empires), 1)
     # same float as normalized_distance: differing-cell count / n
     dists = np.count_nonzero(imps[rows] != imps[cols], axis=1) / imps.shape[1]
@@ -486,7 +493,7 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     cost_params = CostParams(params.penalty if params.penalty is not None else float(g.n))
 
     population = init_population(g, params, rng)
-    costs, conflicts, used = batch_costs(g, np.stack(population), cost_params)
+    costs, conflicts, used = batch_costs(g, np.array(population), cost_params)
 
     n_imp = max(1, round(params.imperialist_fraction * params.population_size))
     if n_imp >= params.population_size:
@@ -510,8 +517,8 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     for decade in range(params.decades):
         sizes = [len(e.colonies) for e in empires]
         children = colony_step(
-            np.stack([e.imperialist for e in empires]),
-            np.stack([c for e in empires for c in e.colonies]),
+            np.array([e.imperialist for e in empires]),
+            np.array([c for e in empires for c in e.colonies]),
             np.repeat(np.arange(len(empires)), sizes),
             revolution_rate,
             rng,
@@ -533,7 +540,7 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
             exchange_if_better(empire)
         imperialists, imperialist_costs = descend(
             g,
-            np.stack([e.imperialist for e in empires]),
+            np.array([e.imperialist for e in empires]),
             IMPERIALIST_DESCENT_STEPS,
             cost_params,
             rng,

@@ -152,6 +152,14 @@ class TestSolve:
         bad.write_text("p edge 3 1\ne 1 99\n")
         assert main(["solve", str(bad)]) == 1
 
+    def test_too_many_vertices_exits_one_with_a_message(self, tmp_path, capsys):
+        huge = tmp_path / "huge.col"
+        huge.write_text("p edge 10000000000 0\n")
+        assert main(["solve", str(huge)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: 10000000000 vertices exceed")
+        assert "Traceback" not in err
+
     def test_vestigial_flag_is_accepted_with_notice(self, tmp_path, caplog):
         path = _write_k3(tmp_path)
         with caplog.at_level(logging.WARNING, logger="colorica.cli"):

@@ -298,6 +298,31 @@ class TestDescend:
         b = descend(g, cols, 3, cp, np.random.default_rng(5))
         assert a[0].tolist() == b[0].tolist() and a[1] == b[1]
 
+    def test_costs_match_cost_value_and_type(self):
+        g = mycielski_graph(5)
+        rng = np.random.default_rng(13)
+        greedy = []
+        for v in range(1, g.n + 1):
+            taken = {greedy[u - 1] for u in g.adjacency[v] if u < v}
+            greedy.append(min(c for c in range(1, g.n + 1) if c not in taken))
+        gaps = np.array([0, 1, 3, 7, 8, 12, 20])  # colour c becomes gaps[c]
+        cols = np.array(
+            [greedy, gaps[greedy]]
+            + [rng.permutation(np.arange(g.n) % 5 + 1) for _ in range(3)]
+            + [gaps[rng.permutation(np.arange(g.n) % 6 + 1)] for _ in range(3)]
+        )
+        assert is_valid(g, cols[0]) and is_valid(g, cols[1])
+        assert not any(is_valid(g, col) for col in cols[2:])
+        for cp in (CostParams.for_graph(g), CostParams(float(g.n)), CostParams(0.5)):
+            for steps in (0, 1, 4):
+                out, out_costs = descend(g, cols, steps, cp, np.random.default_rng(steps))
+                assert len(out_costs) == len(cols)
+                for row, row_cost in zip(out, out_costs):
+                    want = cost(g, row, cp)
+                    assert row_cost == want and type(row_cost) is type(want)
+                # proper rows come back as ints, clashing rows as int or float with the penalty
+                assert [type(c) for c in out_costs[:2]] == [int, int]
+
     def test_large_batches_are_split_in_row_order(self, monkeypatch):
         g = mycielski_graph(5)
         cp = CostParams.for_graph(g)

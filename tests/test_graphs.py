@@ -7,6 +7,7 @@ import pytest
 
 from colorica.graphs import (
     GENERATORS,
+    MAX_VERTICES,
     DimacsFormatError,
     Graph,
     complete_graph,
@@ -80,6 +81,52 @@ class TestGraph:
             Graph(0, ())
 
 
+def _random_graph(n, density, seed):
+    rng = np.random.default_rng(seed)
+    return Graph(
+        n,
+        tuple(
+            (u, v)
+            for u in range(1, n + 1)
+            for v in range(u + 1, n + 1)
+            if rng.random() < density
+        ),
+    )
+
+
+class TestPackedAdjacency:
+    def _unpacked(self, g):
+        packed = g.packed_adjacency
+        assert packed.dtype == np.uint8 and packed.shape == (g.n, (g.n + 7) // 8)
+        return np.unpackbits(packed, axis=1, count=g.n).tolist()
+
+    def _brute_force(self, g):
+        matrix = [[0] * g.n for _ in range(g.n)]
+        for u, v in g.edges:
+            matrix[u - 1][v - 1] = matrix[v - 1][u - 1] = 1
+        return matrix
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 30])
+    def test_unpacks_to_the_adjacency_matrix(self, n):
+        for seed, density in ((n, 0.3), (n + 100, 0.8)):
+            g = _random_graph(n, density, seed)
+            assert self._unpacked(g) == self._brute_force(g)
+
+    def test_benchmark_instances(self):
+        for family, param, _, _ in BENCH_INSTANCES:
+            g = GENERATORS[family](param)
+            assert self._unpacked(g) == self._brute_force(g)
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 17])
+    def test_edgeless_graph_is_all_zero(self, n):
+        g = Graph(n, ())
+        assert self._unpacked(g) == [[0] * n for _ in range(n)]
+
+    def test_is_cached(self):
+        g = queen_graph(5)
+        assert g.packed_adjacency is g.packed_adjacency
+
+
 class TestParseDimacs:
     def test_parses_comments_and_edges(self):
         text = "c a remark\np edge 3 2\ne 1 2\ne 2 3\n"
@@ -127,6 +174,17 @@ class TestParseDimacs:
     def test_error_message_carries_line_number(self):
         with pytest.raises(DimacsFormatError, match="line 2"):
             parse_dimacs("p edge 3 1\ne 2 2\n")
+
+    def test_vertex_count_above_the_bound_raises_before_any_edge(self):
+        # a 10^10-vertex declaration would need gigabytes per population row
+        with pytest.raises(DimacsFormatError, match="line 1: 10000000000 vertices"):
+            parse_dimacs("p edge 10000000000 0\n")
+        with pytest.raises(DimacsFormatError, match=str(MAX_VERTICES)):
+            parse_dimacs(f"p edge {MAX_VERTICES + 1} 1\ne 1 2\n")
+
+    def test_vertex_count_at_the_bound_parses(self):
+        g = parse_dimacs(f"p edge {MAX_VERTICES} 1\ne 1 {MAX_VERTICES}\n")
+        assert (g.n, g.edges) == (MAX_VERTICES, ((1, MAX_VERTICES),))
 
 
 class TestWriteDimacs:
