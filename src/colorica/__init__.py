@@ -17,7 +17,8 @@ from .coloring import (
     format_colouring,
     is_valid,
 )
-from .dica import DicaParams, Empire, RunResult, run_dica
+from .dica import DicaParams, Empire, run_dica
+from .engine import RunResult
 from .ga import GaParams, run_ga
 from .graphs import (
     DimacsFormatError,

@@ -9,11 +9,14 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 from .bench import emit_report, resolve_chromatic, run_trials
 from .coloring import format_colouring
 from .dica import DicaParams, run_dica
+from .engine import SearchParams
 from .ga import GaParams, run_ga
 from .graphs import (
     GENERATORS,
@@ -45,27 +48,48 @@ class _UsageError(Exception):
     pass
 
 
+# engine parameter -> (flag, help); a flag's type and default are its field's.
+# known_chromatic comes from solve's --chromatic or bench's instance instead
+_ENGINE_FLAGS = {
+    "rng_seed": ("--seed", "RNG seed"),
+    "population_size": ("--population-size", "countries per run"),
+    "k_max": ("--k-max", "initial colour range (default: max degree + 1)"),
+    "penalty": ("--penalty", "conflict penalty (default: vertex count)"),
+    "early_stop_at_chromatic": ("--early-stop", "stop once a proper colouring within the known chromatic number appears"),
+    "imperialist_fraction": ("--imperialist-fraction", "share of the population made imperialists"),
+    "decades": ("--decades", "iteration budget"),
+    "revolution_rate": ("--revolution-rate", "per-colony swap probability"),
+    "uniting_threshold": ("--uniting-threshold", "normalized-distance bound for merging empires"),
+    "damp_ratio": ("--damp-ratio", "per-decade decay of the revolution rate"),
+    "xi": ("--xi", "mean-colony-cost weight in empire totals"),
+    "generations": ("--generations", "iteration budget"),
+    "mutation_rate": ("--mutation-rate", "per-child mutation probability"),
+    "selection_probability": ("--selection-probability", "crossover (vs clone) probability per parent pair"),
+    "elitism_count": ("--elitism", "best individuals carried over unchanged"),
+}
+
+
+def _add_field_flags(group, cls, skip=()) -> None:
+    """Add the flag of each field of `cls` not named in `skip`."""
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        if f.name in _ENGINE_FLAGS and f.name not in skip:
+            flag, help_text = _ENGINE_FLAGS[f.name]
+            # an `int | None` field takes int values, and a bool field is a switch
+            kind = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
+            how = {"action": "store_true"} if kind is bool else {"type": kind}
+            group.add_argument(flag, default=f.default, help=help_text, **how)
+
+
 def _add_common_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--algo", choices=("dica", "ga"), default="dica", help="solver to run")
-    p.add_argument("--seed", type=int, default=1, help="RNG seed")
-    p.add_argument("--population-size", type=int, default=300, help="countries per run")
-    p.add_argument("--k-max", type=int, default=None, help="initial colour range (default: max degree + 1)")
-    p.add_argument("--penalty", type=float, default=None, help="conflict penalty (default: vertex count)")
-    p.add_argument("--early-stop", action="store_true", help="stop once a proper colouring within the known chromatic number appears")
+    _add_field_flags(p, SearchParams)
+    shared = {f.name for f in fields(SearchParams)}
     grp_d = p.add_argument_group("dica options")
-    grp_d.add_argument("--imperialist-fraction", type=float, default=0.10, help="share of the population made imperialists")
-    grp_d.add_argument("--decades", type=int, default=100, help="iteration budget")
-    grp_d.add_argument("--revolution-rate", type=float, default=0.25, help="per-colony swap probability")
-    grp_d.add_argument("--uniting-threshold", type=float, default=0.02, help="normalized-distance bound for merging empires")
-    grp_d.add_argument("--damp-ratio", type=float, default=0.90, help="per-decade decay of the revolution rate")
-    grp_d.add_argument("--xi", type=float, default=0.1, help="mean-colony-cost weight in empire totals")
+    _add_field_flags(grp_d, DicaParams, shared)
     grp_d.add_argument("--assimilation-coefficient", type=float, default=None, help="accepted for compatibility; has no effect")
-    grp_d.add_argument("--assimilation-angle-coefficient", type=float, default=None, help="accepted for compatibility; has no effect")
     grp_g = p.add_argument_group("ga options")
-    grp_g.add_argument("--generations", type=int, default=100, help="iteration budget")
-    grp_g.add_argument("--mutation-rate", type=float, default=0.25, help="per-child mutation probability")
-    grp_g.add_argument("--selection-probability", type=float, default=0.50, help="crossover (vs clone) probability per parent pair")
-    grp_g.add_argument("--elitism", type=int, default=1, help="best individuals carried over unchanged")
+    _add_field_flags(grp_g, GaParams, shared)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,41 +168,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _warn_vestigial(ns: argparse.Namespace) -> None:
-    for flag in ("assimilation_coefficient", "assimilation_angle_coefficient"):
-        if getattr(ns, flag, None) is not None:
-            logger.warning("--%s is accepted for compatibility and has no effect", flag.replace("_", "-"))
+    if ns.assimilation_coefficient is not None:
+        logger.warning("--assimilation-coefficient is accepted for compatibility and has no effect")
 
 
-def _dica_params(ns: argparse.Namespace, seed: int, known_chromatic: int | None) -> DicaParams:
-    return DicaParams(
-        population_size=ns.population_size,
-        imperialist_fraction=ns.imperialist_fraction,
-        decades=ns.decades,
-        revolution_rate=ns.revolution_rate,
-        uniting_threshold=ns.uniting_threshold,
-        damp_ratio=ns.damp_ratio,
-        xi=ns.xi,
-        k_max=ns.k_max,
-        penalty=ns.penalty,
-        early_stop_at_chromatic=ns.early_stop,
-        known_chromatic=known_chromatic,
-        rng_seed=seed,
-    )
-
-
-def _ga_params(ns: argparse.Namespace, seed: int, known_chromatic: int | None) -> GaParams:
-    return GaParams(
-        population_size=ns.population_size,
-        generations=ns.generations,
-        mutation_rate=ns.mutation_rate,
-        selection_probability=ns.selection_probability,
-        elitism_count=ns.elitism,
-        k_max=ns.k_max,
-        penalty=ns.penalty,
-        early_stop_at_chromatic=ns.early_stop,
-        known_chromatic=known_chromatic,
-        rng_seed=seed,
-    )
+def _engine_params(ns: argparse.Namespace, algo: str, known_chromatic: int | None):
+    """The DicaParams or GaParams that the parsed engine flags describe."""
+    cls = DicaParams if algo == "dica" else GaParams
+    names = {f.name for f in fields(cls)}
+    # argparse names each flag's attribute after the flag: --early-stop -> early_stop
+    given = {name: getattr(ns, flag[2:].replace("-", "_")) for name, (flag, _) in _ENGINE_FLAGS.items() if name in names}
+    return cls(**given, known_chromatic=known_chromatic)
 
 
 def _load_graph(path: str) -> Graph:
@@ -219,10 +219,8 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
     _warn_vestigial(ns)
     if ns.chromatic is not None and not 1 <= ns.chromatic <= g.n:
         raise ValueError(f"--chromatic must be in 1..{g.n}, got {ns.chromatic}")
-    if ns.algo == "dica":
-        result = run_dica(g, _dica_params(ns, ns.seed, ns.chromatic))
-    else:
-        result = run_ga(g, _ga_params(ns, ns.seed, ns.chromatic))
+    solver = run_dica if ns.algo == "dica" else run_ga
+    result = solver(g, _engine_params(ns, ns.algo, ns.chromatic))
     print(f"best_cost: {result.best_cost:g}")
     print(f"conflicts: {result.conflicts}")
     print(f"colours_used: {result.colours_used}")
@@ -251,10 +249,7 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
             meta = GraphMeta(name=meta.name, known_chromatic=overrides[meta.name])
         chi = resolve_chromatic(g, meta) if ns.early_stop else None
         for algo in algos:
-            if algo == "dica":
-                base = _dica_params(ns, ns.seed_base, chi)
-            else:
-                base = _ga_params(ns, ns.seed_base, chi)
+            base = _engine_params(ns, algo, chi)
             records.extend(
                 run_trials(g, meta, algo, base, runs=ns.runs, seed_base=ns.seed_base)
             )

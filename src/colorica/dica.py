@@ -16,7 +16,7 @@ roulette-picked rival until one empire remains or the decade budget runs out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,11 +26,18 @@ from .coloring import BATCH_CELLS, CostParams, batch_costs, cost_from_counts
 # `cost` is no longer called here but stays importable as colorica.dica.cost,
 # a name the benchmark's probe and its tests look up
 from .coloring import cost  # noqa: F401
-from .graphs import Graph, max_degree
-
-TERMINATED_DECADES = "decades_exhausted"
-TERMINATED_SINGLE_EMPIRE = "single_empire"
-TERMINATED_EARLY_STOP = "early_stop"
+# resolve_k_max is not used here but stays importable from here, where it first lived
+from .engine import (  # noqa: F401
+    TERMINATED_DECADES,
+    TERMINATED_EARLY_STOP,
+    TERMINATED_SINGLE_EMPIRE,
+    BestSoFar,
+    RunResult,
+    SearchParams,
+    init_population,
+    resolve_k_max,
+)
+from .graphs import Graph
 
 # clash-directed swap steps given to each imperialist every decade; 0 turns
 # the descent off and leaves the operator-only engine.  On queen7_7 at k=7,
@@ -47,21 +54,16 @@ InspectFn = Callable[[str, int, list["Empire"]], None]
 
 
 @dataclass(frozen=True)
-class DicaParams:
-    population_size: int = 300
+class DicaParams(SearchParams):
     imperialist_fraction: float = 0.10
     decades: int = 100
     revolution_rate: float = 0.25
     uniting_threshold: float = 0.02
     damp_ratio: float = 0.90
     xi: float = 0.1
-    k_max: int | None = None
-    penalty: float | None = None
-    early_stop_at_chromatic: bool = False
-    known_chromatic: int | None = None
-    rng_seed: int = 1
 
     def validate(self) -> None:
+        super().validate()
         if self.population_size < 2:
             raise ValueError(f"population_size must be >= 2, got {self.population_size}")
         if not 0.0 < self.imperialist_fraction < 1.0:
@@ -78,12 +80,6 @@ class DicaParams:
             raise ValueError(f"damp_ratio must be in [0, 1], got {self.damp_ratio}")
         if self.xi < 0.0:
             raise ValueError(f"xi must be >= 0, got {self.xi}")
-        if self.k_max is not None and self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.penalty is not None and self.penalty <= 0.0:
-            raise ValueError(f"penalty must be > 0, got {self.penalty}")
-        if self.known_chromatic is not None and self.known_chromatic < 1:
-            raise ValueError(f"known_chromatic must be >= 1, got {self.known_chromatic}")
 
 
 @dataclass
@@ -95,42 +91,6 @@ class Empire:
 
     def size(self) -> int:
         return 1 + len(self.colonies)
-
-
-@dataclass(frozen=True)
-class RunResult:
-    best: tuple[int, ...]
-    best_cost: float
-    conflicts: int
-    colours_used: int
-    decades_executed: int
-    cost_history: tuple[float, ...]
-    terminated_by: str
-
-
-def resolve_k_max(g: Graph, k_max: int | None) -> int:
-    if k_max is None:
-        return max_degree(g) + 1
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    return k_max
-
-
-def init_population(g: Graph, params, rng: np.random.Generator) -> list[np.ndarray]:
-    """Random permuted countries; params needs population_size and k_max.
-
-    Each country is an independent shuffle of the balanced palette
-    (1, 2, ..., k_max, 1, 2, ... truncated to n cells), so every colour value
-    starts equally represented.  Swap-style perturbation can then reach any
-    arrangement of that palette, which a cell-wise independent draw does not
-    guarantee.
-    """
-    size = params.population_size
-    if size < 1:
-        raise ValueError(f"population_size must be >= 1, got {size}")
-    k_max = resolve_k_max(g, params.k_max)
-    base = np.arange(g.n, dtype=np.int64) % k_max + 1
-    return [base[rng.permutation(g.n)] for _ in range(size)]
 
 
 def _largest_remainder(powers: Sequence[float], total: int) -> list[int]:
@@ -489,11 +449,10 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     """
     params.validate()
     rng = np.random.default_rng(params.rng_seed)
-    k_max = resolve_k_max(g, params.k_max)
-    cost_params = CostParams(params.penalty if params.penalty is not None else float(g.n))
+    cost_params = params.cost_params(g)
 
     population = init_population(g, params, rng)
-    costs, conflicts, used = batch_costs(g, np.array(population), cost_params)
+    costs = batch_costs(g, np.array(population), cost_params)[0]
 
     n_imp = max(1, round(params.imperialist_fraction * params.population_size))
     if n_imp >= params.population_size:
@@ -503,16 +462,8 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
         )
     empires = form_empires(population, costs, n_imp, rng)
 
-    best_i = min(range(len(costs)), key=lambda i: costs[i])
-    best = population[best_i]
-    best_cost = costs[best_i]
-    best_conflicts = conflicts[best_i]
-    best_used = used[best_i]
-
-    history: list[float] = []
+    best = BestSoFar(g, population, costs)
     revolution_rate = params.revolution_rate
-    terminated_by = TERMINATED_DECADES
-    executed = 0
 
     for decade in range(params.decades):
         sizes = [len(e.colonies) for e in empires]
@@ -523,14 +474,10 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
             revolution_rate,
             rng,
         )
-        costs, conflicts, used = batch_costs(g, children, cost_params)
+        costs = batch_costs(g, children, cost_params)[0]
         # the first cheapest child is the one a colony-by-colony scan would keep
         i = int(np.argmin(costs))
-        if costs[i] < best_cost:
-            best = children[i]
-            best_cost = costs[i]
-            best_conflicts = conflicts[i]
-            best_used = used[i]
+        best.offer(children[i], costs[i])
         rows = list(children)
         start = 0
         for empire, size in zip(empires, sizes):
@@ -547,37 +494,16 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
         )
         for empire, imp, imp_cost in zip(empires, imperialists, imperialist_costs):
             empire.imperialist, empire.imperialist_cost = imp, imp_cost
-            if imp_cost < best_cost:
-                best = imp
-                best_cost = imp_cost
-                (_,), (best_conflicts,), (best_used,) = batch_costs(g, imp[None], cost_params)
+            best.offer(imp, imp_cost)
         if _inspect is not None:
             _inspect("post_exchange", decade, empires)
         empires = unite_similar_empires(empires, params.uniting_threshold, params.xi)
         empires = imperialistic_competition(empires, params.xi, rng)
         revolution_rate *= params.damp_ratio
-        history.append(best_cost)
-        executed = decade + 1
         if _inspect is not None:
             _inspect("end", decade, empires)
-        if (
-            params.early_stop_at_chromatic
-            and params.known_chromatic is not None
-            and best_conflicts == 0
-            and best_used <= params.known_chromatic
-        ):
-            terminated_by = TERMINATED_EARLY_STOP
-            break
+        if best.end_iteration(params):
+            return best.result(TERMINATED_EARLY_STOP)
         if len(empires) == 1:
-            terminated_by = TERMINATED_SINGLE_EMPIRE
-            break
-
-    return RunResult(
-        best=tuple(int(x) for x in best),
-        best_cost=best_cost,
-        conflicts=best_conflicts,
-        colours_used=best_used,
-        decades_executed=executed,
-        cost_history=tuple(history),
-        terminated_by=terminated_by,
-    )
+            return best.result(TERMINATED_SINGLE_EMPIRE)
+    return best.result(TERMINATED_DECADES)

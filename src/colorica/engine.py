@@ -1,0 +1,110 @@
+"""What both population engines share by construction: the common parameters,
+the default penalty, the initial population, the best-so-far bookkeeping with
+its early-stop rule, and the run result.  Each engine keeps its own loop.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .coloring import CostParams, count_conflicts, distinct_colours
+from .graphs import Graph, max_degree
+
+TERMINATED_DECADES = "decades_exhausted"
+TERMINATED_SINGLE_EMPIRE = "single_empire"
+TERMINATED_EARLY_STOP = "early_stop"
+
+
+@dataclass(frozen=True)
+class SearchParams:
+    """The parameters both engines take; each engine adds its own on a subclass."""
+
+    population_size: int = 300
+    k_max: int | None = None
+    penalty: float | None = None
+    early_stop_at_chromatic: bool = False
+    known_chromatic: int | None = None
+    rng_seed: int = 1
+
+    def validate(self) -> None:
+        if self.population_size < 1:
+            raise ValueError(f"population_size must be >= 1, got {self.population_size}")
+        if self.k_max is not None and self.k_max < 1:
+            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
+        if self.penalty is not None and self.penalty <= 0.0:
+            raise ValueError(f"penalty must be > 0, got {self.penalty}")
+        if self.known_chromatic is not None and self.known_chromatic < 1:
+            raise ValueError(f"known_chromatic must be >= 1, got {self.known_chromatic}")
+
+    def cost_params(self, g: Graph) -> CostParams:
+        """The default penalty, shared by both engines: the vertex count as a float."""
+        return CostParams(float(g.n) if self.penalty is None else self.penalty)
+
+
+@dataclass(frozen=True)
+class RunResult:
+    best: tuple[int, ...]
+    best_cost: float
+    conflicts: int
+    colours_used: int
+    decades_executed: int
+    cost_history: tuple[float, ...]
+    terminated_by: str
+
+
+def resolve_k_max(g: Graph, k_max: int | None) -> int:
+    if k_max is None:
+        return max_degree(g) + 1
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    return k_max
+
+
+def init_population(g: Graph, params: SearchParams, rng: np.random.Generator) -> list[np.ndarray]:
+    """Random permuted countries, `params.population_size` of them, over `params.k_max`.
+
+    Each country is an independent shuffle of the balanced palette
+    (1, 2, ..., k_max, 1, 2, ... truncated to n cells), so every colour value
+    starts equally represented.  Swap-style perturbation can then reach any
+    arrangement of that palette, which a cell-wise independent draw does not
+    guarantee.
+    """
+    k_max = resolve_k_max(g, params.k_max)
+    base = np.arange(g.n, dtype=np.int64) % k_max + 1
+    return [base[rng.permutation(g.n)] for _ in range(params.population_size)]
+
+
+class BestSoFar:
+    """The cheapest colouring a run has seen (first cheapest initial row on) and
+    the per-iteration best costs.  Its clash and colour counts are taken when
+    the best improves, never through `cost`, whose calls are the evaluations."""
+
+    def __init__(self, g: Graph, population, costs) -> None:
+        self.g = g
+        self.history: list[float] = []
+        self.cost = float("inf")
+        i = min(range(len(costs)), key=lambda i: costs[i])
+        self.offer(population[i], costs[i])
+
+    def offer(self, row: np.ndarray, cost) -> None:
+        """Keep `row` if it is strictly cheaper than the best so far."""
+        if cost < self.cost:
+            self.row, self.cost = row, cost
+            self.conflicts = count_conflicts(self.g, row)
+            self.used = distinct_colours(row)
+
+    def end_iteration(self, params: SearchParams) -> bool:
+        """Log the best cost of a finished iteration; True if the run asked to stop
+        at a known chromatic number and a proper colouring within it is in hand."""
+        self.history.append(self.cost)
+        chi = params.known_chromatic
+        asked = params.early_stop_at_chromatic and chi is not None
+        return asked and self.conflicts == 0 and self.used <= chi
+
+    def result(self, terminated_by: str) -> RunResult:
+        return RunResult(
+            tuple(int(x) for x in self.row), self.cost, self.conflicts, self.used,
+            len(self.history), tuple(self.history), terminated_by,
+        )

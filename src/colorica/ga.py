@@ -10,11 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import CostParams, cost, count_conflicts, distinct_colours
-from .dica import (
-    RunResult,
+from .coloring import cost
+from .engine import (
     TERMINATED_DECADES,
     TERMINATED_EARLY_STOP,
+    BestSoFar,
+    RunResult,
+    SearchParams,
     init_population,
     resolve_k_max,
 )
@@ -22,21 +24,14 @@ from .graphs import Graph
 
 
 @dataclass(frozen=True)
-class GaParams:
-    population_size: int = 300
+class GaParams(SearchParams):
     generations: int = 100
     mutation_rate: float = 0.25
     selection_probability: float = 0.50
     elitism_count: int = 1
-    k_max: int | None = None
-    penalty: float | None = None
-    early_stop_at_chromatic: bool = False
-    known_chromatic: int | None = None
-    rng_seed: int = 1
 
     def validate(self) -> None:
-        if self.population_size < 1:
-            raise ValueError(f"population_size must be >= 1, got {self.population_size}")
+        super().validate()
         if self.generations < 1:
             raise ValueError(f"generations must be >= 1, got {self.generations}")
         if not 0.0 <= self.mutation_rate <= 1.0:
@@ -49,12 +44,6 @@ class GaParams:
             raise ValueError(
                 f"need 0 <= elitism_count < population_size, got {self.elitism_count}"
             )
-        if self.k_max is not None and self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.penalty is not None and self.penalty <= 0.0:
-            raise ValueError(f"penalty must be > 0, got {self.penalty}")
-        if self.known_chromatic is not None and self.known_chromatic < 1:
-            raise ValueError(f"known_chromatic must be >= 1, got {self.known_chromatic}")
 
 
 def roulette_select(
@@ -117,20 +106,12 @@ def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
     params.validate()
     rng = np.random.default_rng(params.rng_seed)
     k_max = resolve_k_max(g, params.k_max)
-    cost_params = CostParams(params.penalty if params.penalty is not None else float(g.n))
+    cost_params = params.cost_params(g)
 
     population = init_population(g, params, rng)
     costs = [cost(g, c, cost_params) for c in population]
 
-    best_i = min(range(len(costs)), key=lambda i: costs[i])
-    best = population[best_i]
-    best_cost = costs[best_i]
-    best_conflicts = count_conflicts(g, best)
-    best_used = distinct_colours(best)
-
-    history: list[float] = []
-    terminated_by = TERMINATED_DECADES
-    executed = 0
+    best = BestSoFar(g, population, costs)
     size = params.population_size
 
     for generation in range(params.generations):
@@ -152,31 +133,10 @@ def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
                 child_cost = cost(g, child, cost_params)
                 new_pop.append(child)
                 new_costs.append(child_cost)
-                if child_cost < best_cost:
-                    best = child
-                    best_cost = child_cost
-                    best_conflicts = count_conflicts(g, child)
-                    best_used = distinct_colours(child)
+                best.offer(child, child_cost)
         population, costs = new_pop, new_costs
-        history.append(best_cost)
-        executed = generation + 1
         if _inspect is not None:
             _inspect("end", generation, population, costs)
-        if (
-            params.early_stop_at_chromatic
-            and params.known_chromatic is not None
-            and best_conflicts == 0
-            and best_used <= params.known_chromatic
-        ):
-            terminated_by = TERMINATED_EARLY_STOP
-            break
-
-    return RunResult(
-        best=tuple(int(x) for x in best),
-        best_cost=best_cost,
-        conflicts=best_conflicts,
-        colours_used=best_used,
-        decades_executed=executed,
-        cost_history=tuple(history),
-        terminated_by=terminated_by,
-    )
+        if best.end_iteration(params):
+            return best.result(TERMINATED_EARLY_STOP)
+    return best.result(TERMINATED_DECADES)

@@ -14,9 +14,9 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-# the most vertices parse_dimacs accepts: at this bound the packed adjacency
-# takes 32 MB and a 300-row int64 population 39 MB, and the check comes
-# before any O(n) allocation
+# the most vertices parse_dimacs and the generators accept: at this bound the
+# packed adjacency takes 32 MB and a 300-row int64 population 39 MB, and the
+# check comes before any O(n) allocation
 MAX_VERTICES = 1 << 14
 
 
@@ -165,6 +165,8 @@ def complete_graph(k: int) -> Graph:
     """K_k: every pair of the k vertices adjacent; chromatic number k."""
     if k < 1:
         raise ValueError(f"complete graph needs k >= 1, got {k}")
+    if k > MAX_VERTICES:
+        raise ValueError(f"complete graph {k} has more than the supported {MAX_VERTICES} vertices")
     edges = tuple((u, v) for u in range(1, k + 1) for v in range(u + 1, k + 1))
     return Graph(k, edges)
 
@@ -178,6 +180,12 @@ def mycielski_graph(level: int) -> Graph:
     """
     if level < 2:
         raise ValueError(f"mycielski level must be >= 2, got {level}")
+    # n = 3 * 2^(level - 2) - 1; testing the level first keeps a huge level
+    # from computing that power
+    if level - 2 >= MAX_VERTICES.bit_length() or 3 * 2 ** (level - 2) - 1 > MAX_VERTICES:
+        raise ValueError(
+            f"mycielski level {level} has more than the supported {MAX_VERTICES} vertices"
+        )
     n = 2
     edges: list[tuple[int, int]] = [(1, 2)]
     for _ in range(level - 2):
@@ -196,6 +204,8 @@ def queen_graph(b: int) -> Graph:
     """b x b queen graph: cells adjacent when they share a row, column or diagonal."""
     if b < 1:
         raise ValueError(f"queen graph needs board size >= 1, got {b}")
+    if b * b > MAX_VERTICES:
+        raise ValueError(f"queen graph {b} has more than the supported {MAX_VERTICES} vertices")
     cells = [(r, c) for r in range(1, b + 1) for c in range(1, b + 1)]
     vid = lambda r, c: (r - 1) * b + c
     edges = []

@@ -24,14 +24,10 @@ class OracleLimit:
 def _greedy_clique(g: Graph) -> int:
     """Size of a greedily grown clique (descending degree order); lower bound on chi."""
     order = sorted(range(1, g.n + 1), key=lambda v: (-len(g.adjacency[v]), v))
-    neigh = [set() for _ in range(g.n + 1)]
-    for u, v in g.edges:
-        neigh[u].add(v)
-        neigh[v].add(u)
-    clique: list[int] = []
+    clique: set[int] = set()
     for v in order:
-        if all(u in neigh[v] for u in clique):
-            clique.append(v)
+        if clique.issubset(g.adjacency[v]):
+            clique.add(v)
     return len(clique)
 
 

@@ -7,7 +7,11 @@ import sys
 
 import pytest
 
+from colorica import cli
 from colorica.cli import build_parser, main
+from colorica.dica import DicaParams
+from colorica.engine import RunResult
+from colorica.ga import GaParams
 from colorica.graphs import parse_dimacs
 
 FAST = ["--population-size", "10", "--decades", "5", "--generations", "5"]
@@ -36,6 +40,21 @@ class TestParserDefaults:
         assert ns.selection_probability == 0.50
         assert ns.elitism == 1
         assert ns.k_max is None and ns.penalty is None
+
+    @pytest.mark.parametrize("algo,expected", [("dica", DicaParams()), ("ga", GaParams())])
+    def test_no_flags_build_the_default_params(self, algo, expected, tmp_path, monkeypatch):
+        # pins every flag-to-field mapping, not only the defaults on the namespace
+        seen = []
+
+        def solver(g, params):
+            seen.append(params)
+            return RunResult((1, 2, 3), 3, 0, 3, 1, (3,), "decades_exhausted")
+
+        monkeypatch.setattr(cli, f"run_{algo}", solver)
+        path = _write_k3(tmp_path)
+        argv = ["solve", str(path)] + (["--algo", "ga"] if algo == "ga" else [])
+        assert main(argv) == 0
+        assert seen == [expected]
 
     def test_bench_flag_defaults(self):
         ns = build_parser().parse_args(["bench", "g.col"])
@@ -102,6 +121,15 @@ class TestGen:
         out = tmp_path / "q4.col"
         assert main(["gen", "queen", "4", "--out", str(out)]) == 0
         assert "chromatic_number" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("family,param", [("queen", "129"), ("mycielski", "15")])
+    def test_more_vertices_than_the_bound_exits_one(self, family, param, tmp_path, capsys):
+        out = tmp_path / "big.col"
+        assert main(["gen", family, param, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "16384" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_nonpositive_param_exits_one(self, tmp_path, capsys):
         assert main(["gen", "complete", "0"]) == 1
@@ -261,6 +289,11 @@ class TestBench:
 
     def test_bad_generator_spec_exits_one(self):
         assert main(["bench", "complete:x", "--runs", "1"]) == 1
+
+    def test_generator_spec_above_the_vertex_bound_exits_one(self, capsys):
+        assert main(["bench", "queen:129", "--runs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: queen graph 129") and "16384" in err
 
     def test_missing_instance_file_exits_one(self, tmp_path):
         assert main(["bench", str(tmp_path / "nope.col"), "--runs", "1"]) == 1

@@ -264,6 +264,17 @@ class TestGenerators:
         with pytest.raises(ValueError):
             mycielski_graph(1)
 
+    @pytest.mark.parametrize(
+        "family,param",
+        # n = 129^2 = 16641, 3 * 2^13 - 1 = 24575, 16385, and a level whose n
+        # has about 300 million digits
+        [("queen", 129), ("mycielski", 15), ("complete", MAX_VERTICES + 1), ("mycielski", 10**9)],
+    )
+    def test_rejects_more_vertices_than_the_bound(self, family, param):
+        # checked before anything is built: queen 129 would take minutes otherwise
+        with pytest.raises(ValueError, match=str(MAX_VERTICES)):
+            GENERATORS[family](param)
+
 
 class TestMaxDegree:
     def test_complete_triangle(self):
