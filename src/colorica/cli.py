@@ -48,6 +48,14 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    # a None default means "not given"; the flag's help says what that does
+    def _get_help_string(self, action):
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
+
+
 # engine parameter -> (flag, help); a flag's type and default are its field's.
 # known_chromatic comes from solve's --chromatic or bench's instance instead
 _ENGINE_FLAGS = {
@@ -81,9 +89,9 @@ def _add_field_flags(group, cls, skip=()) -> None:
             group.add_argument(flag, default=f.default, help=help_text, **how)
 
 
-def _add_common_solver_flags(p: argparse.ArgumentParser) -> None:
+def _add_common_solver_flags(p: argparse.ArgumentParser, skip=()) -> None:
     p.add_argument("--algo", choices=("dica", "ga"), default="dica", help="solver to run")
-    _add_field_flags(p, SearchParams)
+    _add_field_flags(p, SearchParams, skip)
     shared = {f.name for f in fields(SearchParams)}
     grp_d = p.add_argument_group("dica options")
     _add_field_flags(grp_d, DicaParams, shared)
@@ -97,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="colorica",
         description="Graph-colouring search: imperialist-style and genetic solvers, "
         "instance generators, benchmarks, and an exact checker for small graphs.",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="subcommand", metavar="{gen,solve,bench,oracle}")
     sub.required = True
@@ -105,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser(
         "gen",
         help="write a generated instance as a DIMACS file",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_HelpFormatter,
     )
     p_gen.add_argument("family", choices=sorted(GENERATORS), help="instance family")
     p_gen.add_argument("param", type=int, help="size parameter (vertices, level, or board side)")
@@ -114,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser(
         "solve",
         help="run one seeded solve on a DIMACS file",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_HelpFormatter,
     )
     p_solve.add_argument("graph", help="DIMACS .col file")
     p_solve.add_argument(
@@ -128,7 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench",
         help="repeated seeded runs with success tallies",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_HelpFormatter,
+        # else a --seed meant for solve would be read as --seed-base
+        allow_abbrev=False,
     )
     p_bench.add_argument(
         "instances",
@@ -152,12 +162,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=K",
         help="declare a known chromatic number for an instance (repeatable)",
     )
-    _add_common_solver_flags(p_bench)
+    # bench seeds each trial from --seed-base, so it takes no --seed
+    _add_common_solver_flags(p_bench, skip=("rng_seed",))
 
     p_oracle = sub.add_parser(
         "oracle",
         help="exact chromatic number or k-colourability of a small graph",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_HelpFormatter,
     )
     p_oracle.add_argument("graph", help="DIMACS .col file")
     p_oracle.add_argument("--k", type=int, default=None, help="check k-colourability instead of computing the chromatic number")
@@ -176,8 +187,10 @@ def _engine_params(ns: argparse.Namespace, algo: str, known_chromatic: int | Non
     """The DicaParams or GaParams that the parsed engine flags describe."""
     cls = DicaParams if algo == "dica" else GaParams
     names = {f.name for f in fields(cls)}
-    # argparse names each flag's attribute after the flag: --early-stop -> early_stop
-    given = {name: getattr(ns, flag[2:].replace("-", "_")) for name, (flag, _) in _ENGINE_FLAGS.items() if name in names}
+    # argparse names each flag's attribute after the flag: --early-stop -> early_stop;
+    # a field whose flag the subcommand lacks keeps its default
+    attrs = {name: flag[2:].replace("-", "_") for name, (flag, _) in _ENGINE_FLAGS.items() if name in names}
+    given = {name: getattr(ns, attr) for name, attr in attrs.items() if hasattr(ns, attr)}
     return cls(**given, known_chromatic=known_chromatic)
 
 

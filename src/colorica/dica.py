@@ -36,6 +36,8 @@ from .engine import (  # noqa: F401
     SearchParams,
     init_population,
     resolve_k_max,
+    roulette_wheel,
+    spin,
 )
 from .graphs import Graph
 
@@ -356,19 +358,6 @@ def _argmax_last(values: Sequence[float]) -> int:
     return max(range(len(values)), key=lambda i: (values[i], i))
 
 
-def _roulette(weights: Sequence[float], rng: np.random.Generator) -> int:
-    total = float(sum(weights))
-    if total <= 0.0:
-        return int(rng.integers(len(weights)))
-    r = rng.random() * total
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if r < acc:
-            return i
-    return len(weights) - 1
-
-
 def normalized_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Fraction of positions where the two colourings disagree."""
     a = np.asarray(a)
@@ -424,8 +413,11 @@ def imperialistic_competition(
     totals = [empire_total_cost(e, xi) for e in empires]
     weakest = _argmax_last(totals)
     rivals = [i for i in range(len(empires)) if i != weakest]
-    weights = [totals[weakest] - totals[i] for i in rivals]
-    winner = rivals[_roulette(weights, rng)]
+    wheel = roulette_wheel([totals[weakest] - totals[i] for i in rivals])
+    if wheel[1] > 0.0:
+        winner = rivals[int(spin(wheel, rng.random()))]
+    else:  # every rival is as weak as the weakest: a uniform pick
+        winner = rivals[int(rng.integers(len(rivals)))]
     loser = empires[weakest]
     if loser.colonies:
         worst = _argmax_last(loser.colony_costs)

@@ -1,6 +1,7 @@
 """What both population engines share by construction: the common parameters,
-the default penalty, the initial population, the best-so-far bookkeeping with
-its early-stop rule, and the run result.  Each engine keeps its own loop.
+the default penalty, the initial population, the roulette wheel, the
+best-so-far bookkeeping with its early-stop rule, and the run result.  Each
+engine keeps its own loop.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ from .graphs import Graph, max_degree
 TERMINATED_DECADES = "decades_exhausted"
 TERMINATED_SINGLE_EMPIRE = "single_empire"
 TERMINATED_EARLY_STOP = "early_stop"
+
+# the most population cells (population_size x vertex count) a run may hold:
+# 2^23 int64 cells are 64 MB, room for the default 300 countries at the
+# 16384-vertex input bound and for ga's stacked copy of a generation
+MAX_POPULATION_CELLS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -71,9 +77,28 @@ def init_population(g: Graph, params: SearchParams, rng: np.random.Generator) ->
     arrangement of that palette, which a cell-wise independent draw does not
     guarantee.
     """
+    if params.population_size * g.n > MAX_POPULATION_CELLS:
+        raise ValueError(
+            f"a population of {params.population_size} x {g.n} vertices exceeds "
+            f"the supported {MAX_POPULATION_CELLS} cells"
+        )
     k_max = resolve_k_max(g, params.k_max)
     base = np.arange(g.n, dtype=np.int64) % k_max + 1
     return [base[rng.permutation(g.n)] for _ in range(params.population_size)]
+
+
+def roulette_wheel(weights) -> tuple[np.ndarray, float]:
+    """A roulette wheel over non-negative `weights`: their running sums but the
+    last, and their total.  Build it once for as long as the weights hold."""
+    cum = np.cumsum(np.asarray(weights, dtype=float))
+    return cum[:-1], float(cum[-1])
+
+
+def spin(wheel: tuple[np.ndarray, float], r):
+    """The slot each uniform draw in `r` lands on: the first whose running sum
+    exceeds r * total, or else the last slot."""
+    bounds, total = wheel
+    return bounds.searchsorted(r * total, side="right")
 
 
 class BestSoFar:

@@ -1,7 +1,9 @@
 """Genetic-algorithm baseline over the same colouring encoding and cost.
 
 Generational loop with roulette parent selection, two-point crossover,
-single-position mutation and a small elite carried over unchanged.
+single-position mutation and a small elite carried over unchanged.  A
+generation's parents are drawn from one roulette wheel, and its children are
+scored together by one `batch_costs` call.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import cost
+from .coloring import batch_costs, cost
 from .engine import (
     TERMINATED_DECADES,
     TERMINATED_EARLY_STOP,
@@ -19,6 +21,8 @@ from .engine import (
     SearchParams,
     init_population,
     resolve_k_max,
+    roulette_wheel,
+    spin,
 )
 from .graphs import Graph
 
@@ -54,15 +58,17 @@ def roulette_select(
     Fitness is (max cost - cost) + 1, so the worst individual keeps a nonzero
     chance and an all-equal population is sampled uniformly.
     """
-    arr = np.asarray(costs, dtype=float)
-    if arr.size == 0:
+    if len(costs) == 0:
         raise ValueError("empty population")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    fitness = (arr.max() - arr) + 1.0
-    cum = np.cumsum(fitness)
-    r = rng.random(count) * cum[-1]
-    return np.searchsorted(cum, r, side="right")
+    return spin(_fitness_wheel(costs), rng.random(count))
+
+
+def _fitness_wheel(costs) -> tuple[np.ndarray, float]:
+    """The roulette wheel over the fitness (max cost - cost) + 1."""
+    arr = np.asarray(costs, dtype=float)
+    return roulette_wheel((arr.max() - arr) + 1.0)
 
 
 def crossover_2pt_at(a, b, c1: int, c2: int) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +108,13 @@ def mutate(col, k_max: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
-    """Full generational loop; deterministic for a given (graph, params) pair."""
+    """Full generational loop; deterministic for a given (graph, params) pair.
+
+    The initial population is scored row by row.  Each generation spins one
+    roulette wheel, built from the generation's costs, for every parent pair,
+    builds the children one pair at a time and scores them in one
+    `batch_costs` call; the first cheapest child is offered as the best.
+    """
     params.validate()
     rng = np.random.default_rng(params.rng_seed)
     k_max = resolve_k_max(g, params.k_max)
@@ -113,28 +125,30 @@ def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
 
     best = BestSoFar(g, population, costs)
     size = params.population_size
+    n_children = size - params.elitism_count
 
     for generation in range(params.generations):
-        order = sorted(range(size), key=lambda i: (costs[i], i))
-        new_pop = [population[i] for i in order[: params.elitism_count]]
-        new_costs = [costs[i] for i in order[: params.elitism_count]]
-        while len(new_pop) < size:
-            pi = roulette_select(costs, 2, rng)
-            pa, pb = population[int(pi[0])], population[int(pi[1])]
+        elite = sorted(range(size), key=lambda i: (costs[i], i))[: params.elitism_count]
+        wheel = _fitness_wheel(costs)
+        children: list[np.ndarray] = []
+        while len(children) < n_children:
+            pi = spin(wheel, rng.random(2))
+            pa, pb = population[pi[0]], population[pi[1]]
             if rng.random() < params.selection_probability:
-                children = crossover_2pt(pa, pb, rng)
+                pair = crossover_2pt(pa, pb, rng)
             else:
-                children = (pa.copy(), pb.copy())
-            for child in children:
-                if len(new_pop) >= size:
-                    break
+                pair = (pa.copy(), pb.copy())
+            # a pair that overfills the population loses its second child
+            for child in pair[: n_children - len(children)]:
                 if rng.random() < params.mutation_rate:
                     child = mutate(child, k_max, rng)
-                child_cost = cost(g, child, cost_params)
-                new_pop.append(child)
-                new_costs.append(child_cost)
-                best.offer(child, child_cost)
-        population, costs = new_pop, new_costs
+                children.append(child)
+        child_costs = batch_costs(g, np.array(children), cost_params)[0]
+        # the first cheapest child is the one a child-by-child scan would keep
+        i = int(np.argmin(child_costs))
+        best.offer(children[i], child_costs[i])
+        population = [population[i] for i in elite] + children
+        costs = [costs[i] for i in elite] + child_costs
         if _inspect is not None:
             _inspect("end", generation, population, costs)
         if best.end_iteration(params):

@@ -71,6 +71,15 @@ class TestParserDefaults:
         assert "default: 300" in out
         assert "default: 0.25" in out
 
+    @pytest.mark.parametrize("sub", ["solve", "bench"])
+    def test_help_prints_one_default_per_flag(self, sub, capsys):
+        with pytest.raises(SystemExit):
+            main([sub, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "(default: None)" not in out
+        assert "initial colour range (default: max degree + 1)" in out
+        assert "conflict penalty (default: vertex count)" in out
+
     def test_top_level_help(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -137,6 +146,15 @@ class TestGen:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("sub,extra", [("solve", []), ("bench", ["--runs", "1"])])
+    def test_huge_population_exits_one(self, sub, extra, tmp_path, capsys):
+        # refused before the population is allocated
+        path = _write_k3(tmp_path)
+        assert main([sub, str(path), "--population-size", "1000000000000", *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cells" in err
+        assert "Traceback" not in err
+
     def test_proper_colouring_exits_zero(self, tmp_path, capsys):
         path = _write_k3(tmp_path)
         assert main(["solve", str(path), "--seed", "3", *FAST]) == 0
@@ -297,6 +315,14 @@ class TestBench:
 
     def test_missing_instance_file_exits_one(self, tmp_path):
         assert main(["bench", str(tmp_path / "nope.col"), "--runs", "1"]) == 1
+
+    def test_seed_is_rejected(self, tmp_path, capsys):
+        # trials are seeded from --seed-base; --seed is not read as an abbreviation of it
+        assert main(["bench", "complete:3", "--runs", "1", "--seed", "99", *FAST]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "--seed 99" in err
+        path = _write_k3(tmp_path)
+        assert main(["solve", str(path), "--seed", "99", *FAST]) == 0
 
 
 class TestInstalledEntryPoint:

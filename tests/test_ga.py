@@ -5,6 +5,7 @@ import pytest
 
 from colorica.coloring import CostParams, cost, count_conflicts, distinct_colours, is_valid
 from colorica.dica import TERMINATED_DECADES, TERMINATED_EARLY_STOP
+from colorica.engine import BestSoFar, init_population, resolve_k_max
 from colorica.ga import (
     GaParams,
     crossover_2pt,
@@ -13,7 +14,7 @@ from colorica.ga import (
     roulette_select,
     run_ga,
 )
-from colorica.graphs import Graph, complete_graph, mycielski_graph
+from colorica.graphs import Graph, complete_graph, mycielski_graph, queen_graph
 
 
 class TestRouletteSelect:
@@ -271,3 +272,78 @@ class TestRunGa:
     def test_invalid_params(self, bad):
         with pytest.raises(ValueError):
             GaParams(**bad).validate()
+
+
+def _child_by_child_ga(g, params, _inspect=None):
+    """The generation loop as it was before batching: a roulette wheel built per
+    parent pair, and each child scored and offered as the best on its own."""
+    params.validate()
+    rng = np.random.default_rng(params.rng_seed)
+    k_max = resolve_k_max(g, params.k_max)
+    cost_params = params.cost_params(g)
+    population = init_population(g, params, rng)
+    costs = [cost(g, c, cost_params) for c in population]
+    best = BestSoFar(g, population, costs)
+    size = params.population_size
+    for generation in range(params.generations):
+        order = sorted(range(size), key=lambda i: (costs[i], i))
+        new_pop = [population[i] for i in order[: params.elitism_count]]
+        new_costs = [costs[i] for i in order[: params.elitism_count]]
+        while len(new_pop) < size:
+            pi = roulette_select(costs, 2, rng)
+            pa, pb = population[int(pi[0])], population[int(pi[1])]
+            if rng.random() < params.selection_probability:
+                children = crossover_2pt(pa, pb, rng)
+            else:
+                children = (pa.copy(), pb.copy())
+            for child in children:
+                if len(new_pop) >= size:
+                    break
+                if rng.random() < params.mutation_rate:
+                    child = mutate(child, k_max, rng)
+                child_cost = cost(g, child, cost_params)
+                new_pop.append(child)
+                new_costs.append(child_cost)
+                best.offer(child, child_cost)
+        population, costs = new_pop, new_costs
+        if _inspect is not None:
+            _inspect("end", generation, population, costs)
+        if best.end_iteration(params):
+            return best.result(TERMINATED_EARLY_STOP)
+    return best.result(TERMINATED_DECADES)
+
+
+class TestBatchedGeneration:
+    """run_ga scores a generation's children in one batch and spins one wheel per
+    generation; results, populations and cost types equal the child-by-child loop."""
+
+    GRAPHS = {"k6": complete_graph(6), "myciel3": mycielski_graph(4), "queen4": queen_graph(4)}
+    PARAMS = [
+        dict(population_size=20, generations=8),
+        dict(population_size=20, generations=30, k_max=4, early_stop_at_chromatic=True, known_chromatic=4),
+        dict(population_size=12, generations=8, penalty=0.5),
+        dict(population_size=7, generations=8, elitism_count=6),
+        dict(population_size=9, generations=8, elitism_count=0, mutation_rate=1.0, selection_probability=0.0),
+    ]
+
+    @staticmethod
+    def _run(engine, g, params):
+        seen = []
+
+        def watch(stage, generation, population, costs):
+            seen.append((stage, generation, [c.tolist() for c in population],
+                         [(type(c), c) for c in costs]))
+
+        return engine(g, params, _inspect=watch), seen
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @pytest.mark.parametrize("case", range(len(PARAMS)))
+    @pytest.mark.parametrize("seed", [1, 2, 31])
+    def test_equals_the_child_by_child_loop(self, graph, case, seed):
+        g = self.GRAPHS[graph]
+        params = GaParams(rng_seed=seed, **self.PARAMS[case])
+        got, got_seen = self._run(run_ga, g, params)
+        want, want_seen = self._run(_child_by_child_ga, g, params)
+        assert got == want
+        assert type(got.best_cost) is type(want.best_cost)
+        assert got_seen == want_seen
