@@ -34,7 +34,10 @@ from .engine import (  # noqa: F401
     BestSoFar,
     RunResult,
     SearchParams,
+    copy_segment,
+    cut_points,
     init_population,
+    rank,
     resolve_k_max,
     roulette_wheel,
     spin,
@@ -76,12 +79,12 @@ class DicaParams(SearchParams):
             raise ValueError(f"decades must be >= 1, got {self.decades}")
         if not 0.0 <= self.revolution_rate <= 1.0:
             raise ValueError(f"revolution_rate must be in [0, 1], got {self.revolution_rate}")
-        if self.uniting_threshold < 0.0:
-            raise ValueError(f"uniting_threshold must be >= 0, got {self.uniting_threshold}")
+        if not 0.0 <= self.uniting_threshold < math.inf:
+            raise ValueError(f"uniting_threshold must be finite and >= 0, got {self.uniting_threshold}")
         if not 0.0 <= self.damp_ratio <= 1.0:
             raise ValueError(f"damp_ratio must be in [0, 1], got {self.damp_ratio}")
-        if self.xi < 0.0:
-            raise ValueError(f"xi must be >= 0, got {self.xi}")
+        if not 0.0 <= self.xi < math.inf:
+            raise ValueError(f"xi must be finite and >= 0, got {self.xi}")
 
 
 @dataclass
@@ -130,7 +133,7 @@ def form_empires(
         raise ValueError(
             f"need 1 <= n_imperialists < population, got {n_imperialists} of {len(countries)}"
         )
-    order = sorted(range(len(countries)), key=lambda i: (costs[i], i))
+    order = rank(costs)
     imp_idx = order[:n_imperialists]
     col_idx = order[n_imperialists:]
 
@@ -160,29 +163,9 @@ def form_empires(
     return empires
 
 
-def assimilate_at(
-    imperialist: Sequence[int] | np.ndarray,
-    colony: Sequence[int] | np.ndarray,
-    c1: int,
-    c2: int,
-) -> np.ndarray:
+def assimilate_at(imperialist, colony, c1: int, c2: int) -> np.ndarray:
     """Copy the imperialist's cells c1..c2 (1-based, inclusive) onto the colony."""
-    imp = np.asarray(imperialist)
-    child = np.array(colony)
-    if imp.shape != child.shape:
-        raise ValueError("imperialist and colony lengths differ")
-    n = child.shape[0]
-    if not 1 <= c1 <= c2 <= n:
-        raise ValueError(f"need 1 <= c1 <= c2 <= {n}, got c1={c1} c2={c2}")
-    child[c1 - 1 : c2] = imp[c1 - 1 : c2]
-    return child
-
-
-def _cut_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, 2) 1-based cut points c1 <= c2: two independent uniform draws, sorted."""
-    cuts = rng.integers(1, n + 1, size=(count, 2))
-    cuts.sort(axis=1)
-    return cuts
+    return copy_segment(imperialist, colony, c1, c2)
 
 
 def _swap_cells(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -195,7 +178,7 @@ def _swap_cells(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 def assimilate(
     imperialist: np.ndarray, colony: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    c1, c2 = _cut_points(len(colony), 1, rng)[0].tolist()
+    c1, c2 = cut_points(len(colony), 1, rng)[0].tolist()
     return assimilate_at(imperialist, colony, c1, c2)
 
 
@@ -234,7 +217,7 @@ def colony_step(
     each.  Returns the children as a new array; the inputs are left untouched.
     """
     count, n = colonies.shape
-    cuts = _cut_points(n, count, rng)
+    cuts = cut_points(n, count, rng)
     cell = np.arange(1, n + 1)
     inside = (cuts[:, :1] <= cell) & (cell <= cuts[:, 1:])
     children = np.where(inside, imperialists[owner], colonies)
@@ -467,9 +450,7 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
             rng,
         )
         costs = batch_costs(g, children, cost_params)[0]
-        # the first cheapest child is the one a colony-by-colony scan would keep
-        i = int(np.argmin(costs))
-        best.offer(children[i], costs[i])
+        best.offer_cheapest(children, costs)
         rows = list(children)
         start = 0
         for empire, size in zip(empires, sizes):
@@ -486,7 +467,7 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
         )
         for empire, imp, imp_cost in zip(empires, imperialists, imperialist_costs):
             empire.imperialist, empire.imperialist_cost = imp, imp_cost
-            best.offer(imp, imp_cost)
+        best.offer_cheapest(imperialists, imperialist_costs)
         if _inspect is not None:
             _inspect("post_exchange", decade, empires)
         empires = unite_similar_empires(empires, params.uniting_threshold, params.xi)

@@ -1,11 +1,12 @@
-"""What both population engines share by construction: the common parameters,
-the default penalty, the initial population, the roulette wheel, the
-best-so-far bookkeeping with its early-stop rule, and the run result.  Each
-engine keeps its own loop.
+"""What both population engines share: the common parameters, the default
+penalty, the initial population, the cost-then-index ranking, the cut points
+and segment copy of assimilation and crossover, the roulette wheel, the
+best-so-far with its first-cheapest offer and early stop, and the run result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,18 @@ class SearchParams:
             raise ValueError(f"population_size must be >= 1, got {self.population_size}")
         if self.k_max is not None and self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.penalty is not None and self.penalty <= 0.0:
-            raise ValueError(f"penalty must be > 0, got {self.penalty}")
+        if self.penalty is not None and not 0.0 < self.penalty < math.inf:
+            raise ValueError(f"penalty must be finite and > 0, got {self.penalty}")
         if self.known_chromatic is not None and self.known_chromatic < 1:
             raise ValueError(f"known_chromatic must be >= 1, got {self.known_chromatic}")
 
     def cost_params(self, g: Graph) -> CostParams:
-        """The default penalty, shared by both engines: the vertex count as a float."""
-        return CostParams(float(g.n) if self.penalty is None else self.penalty)
+        """The penalty, by default the vertex count as a float; refused if the
+        worst cost on `g` would not be a finite float."""
+        penalty = float(g.n) if self.penalty is None else self.penalty
+        if not math.isfinite(penalty * g.m + g.n):
+            raise ValueError(f"penalty {penalty} overflows the cost of a {g.m}-edge graph")
+        return CostParams(penalty)
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,30 @@ def init_population(g: Graph, params: SearchParams, rng: np.random.Generator) ->
     return [base[rng.permutation(g.n)] for _ in range(params.population_size)]
 
 
+def rank(costs) -> list[int]:
+    """Indices by cost, then index: a stable sort over float64, exact for int costs."""
+    return np.argsort(np.asarray(costs, dtype=float), kind="stable").tolist()
+
+
+def cut_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, 2) 1-based cut points c1 <= c2: two independent uniform draws, sorted."""
+    cuts = rng.integers(1, n + 1, size=(count, 2))
+    cuts.sort(axis=1)
+    return cuts
+
+
+def copy_segment(donor, base, c1: int, c2: int) -> np.ndarray:
+    """A copy of `base` with the donor's cells c1..c2 (1-based, inclusive)."""
+    src = np.asarray(donor)
+    child = np.array(base)
+    if src.shape != child.shape:
+        raise ValueError("donor and base lengths differ")
+    if not 1 <= c1 <= c2 <= len(child):
+        raise ValueError(f"need 1 <= c1 <= c2 <= {len(child)}, got c1={c1} c2={c2}")
+    child[c1 - 1 : c2] = src[c1 - 1 : c2]
+    return child
+
+
 def roulette_wheel(weights) -> tuple[np.ndarray, float]:
     """A roulette wheel over non-negative `weights`: their running sums but the
     last, and their total.  Build it once for as long as the weights hold."""
@@ -110,8 +139,7 @@ class BestSoFar:
         self.g = g
         self.history: list[float] = []
         self.cost = float("inf")
-        i = min(range(len(costs)), key=lambda i: costs[i])
-        self.offer(population[i], costs[i])
+        self.offer_cheapest(population, costs)
 
     def offer(self, row: np.ndarray, cost) -> None:
         """Keep `row` if it is strictly cheaper than the best so far."""
@@ -119,6 +147,11 @@ class BestSoFar:
             self.row, self.cost = row, cost
             self.conflicts = count_conflicts(self.g, row)
             self.used = distinct_colours(row)
+
+    def offer_cheapest(self, rows, costs) -> None:
+        """Offer the first cheapest of `rows`: what offering each in turn keeps."""
+        i = int(np.argmin(costs))
+        self.offer(rows[i], costs[i])
 
     def end_iteration(self, params: SearchParams) -> bool:
         """Log the best cost of a finished iteration; True if the run asked to stop

@@ -19,6 +19,11 @@ logger = logging.getLogger(__name__)
 # check comes before any O(n) allocation
 MAX_VERTICES = 1 << 14
 
+# the most edges parse_dimacs and the generators accept, checked before the
+# edge tuples are built: K_1448, mycielski level 13 and the 86 x 86 queen
+# board fit, and building K_1448 peaks near 250 MB
+MAX_EDGES = 1 << 20
+
 
 class DimacsFormatError(ValueError):
     """Malformed DIMACS colouring instance."""
@@ -97,8 +102,8 @@ def parse_dimacs(text: str) -> Graph:
     Accepts `c` comment lines, exactly one `p edge <n> <m>` line, and
     `e <u> <v>` edge lines. Duplicate and reversed edges collapse with a
     warning; a declared edge count that disagrees after dedup is also only
-    warned about. Self-loops, out-of-range ids and a vertex count above
-    MAX_VERTICES raise DimacsFormatError.
+    warned about. Self-loops, out-of-range ids, a vertex count above
+    MAX_VERTICES and more than MAX_EDGES distinct edges raise DimacsFormatError.
     """
     n = None
     declared_m = None
@@ -142,6 +147,10 @@ def parse_dimacs(text: str) -> Graph:
                 duplicates += 1
             else:
                 seen.add(key)
+                if len(seen) > MAX_EDGES:
+                    raise DimacsFormatError(
+                        f"line {lineno}: more than the supported {MAX_EDGES} edges"
+                    )
         else:
             raise DimacsFormatError(f"line {lineno}: malformed token {parts[0]!r}")
 
@@ -161,12 +170,18 @@ def write_dimacs(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_edge_count(what: str, m: int) -> None:
+    if m > MAX_EDGES:
+        raise ValueError(f"{what} has {m} edges, more than the supported {MAX_EDGES}")
+
+
 def complete_graph(k: int) -> Graph:
     """K_k: every pair of the k vertices adjacent; chromatic number k."""
     if k < 1:
         raise ValueError(f"complete graph needs k >= 1, got {k}")
     if k > MAX_VERTICES:
         raise ValueError(f"complete graph {k} has more than the supported {MAX_VERTICES} vertices")
+    _check_edge_count(f"complete graph {k}", k * (k - 1) // 2)
     edges = tuple((u, v) for u in range(1, k + 1) for v in range(u + 1, k + 1))
     return Graph(k, edges)
 
@@ -186,6 +201,10 @@ def mycielski_graph(level: int) -> Graph:
         raise ValueError(
             f"mycielski level {level} has more than the supported {MAX_VERTICES} vertices"
         )
+    vertices, m = 2, 1
+    for _ in range(level - 2):
+        vertices, m = 2 * vertices + 1, 3 * m + vertices
+    _check_edge_count(f"mycielski level {level}", m)
     n = 2
     edges: list[tuple[int, int]] = [(1, 2)]
     for _ in range(level - 2):
@@ -206,6 +225,7 @@ def queen_graph(b: int) -> Graph:
         raise ValueError(f"queen graph needs board size >= 1, got {b}")
     if b * b > MAX_VERTICES:
         raise ValueError(f"queen graph {b} has more than the supported {MAX_VERTICES} vertices")
+    _check_edge_count(f"queen graph {b}", b * (b - 1) * (5 * b - 1) // 3)
     cells = [(r, c) for r in range(1, b + 1) for c in range(1, b + 1)]
     vid = lambda r, c: (r - 1) * b + c
     edges = []

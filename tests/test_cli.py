@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from colorica import cli
+from colorica import cli, graphs
 from colorica.cli import build_parser, main
 from colorica.dica import DicaParams
 from colorica.engine import RunResult
@@ -140,6 +140,14 @@ class TestGen:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_more_edges_than_the_bound_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_EDGES", 10)
+        out = tmp_path / "k6.col"
+        assert main(["gen", "complete", "6", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: complete graph 6 has 15 edges") and "Traceback" not in err
+        assert not out.exists()
+
     def test_nonpositive_param_exits_one(self, tmp_path, capsys):
         assert main(["gen", "complete", "0"]) == 1
         assert "error" in capsys.readouterr().err
@@ -205,6 +213,25 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: line 1: 10000000000 vertices exceed")
         assert "Traceback" not in err
+
+    def test_more_edges_than_the_bound_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_EDGES", 2)
+        path = _write_k3(tmp_path)
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 4: more than the supported 2 edges")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("algo", ["dica", "ga"])
+    @pytest.mark.parametrize("penalty", ["nan", "inf", "1e308"])
+    def test_non_finite_penalty_exits_one_with_a_message(self, algo, penalty, tmp_path, capsys):
+        # every K4 colouring with two colours clashes, so every cost is penalised
+        k4 = tmp_path / "k4.col"
+        k4.write_text("p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n")
+        argv = ["solve", str(k4), "--algo", algo, "--k-max", "2", "--penalty", penalty, *FAST]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: penalty") and "Traceback" not in err
 
     def test_vestigial_flag_is_accepted_with_notice(self, tmp_path, caplog):
         path = _write_k3(tmp_path)
@@ -312,6 +339,12 @@ class TestBench:
         assert main(["bench", "queen:129", "--runs", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: queen graph 129") and "16384" in err
+
+    def test_generator_spec_above_the_edge_bound_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_EDGES", 100)
+        assert main(["bench", "queen:5", "--runs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: queen graph 5 has 160 edges") and "Traceback" not in err
 
     def test_missing_instance_file_exits_one(self, tmp_path):
         assert main(["bench", str(tmp_path / "nope.col"), "--runs", "1"]) == 1

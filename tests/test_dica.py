@@ -683,6 +683,12 @@ class TestRunDica:
             dict(k_max=0),
             dict(penalty=0.0),
             dict(known_chromatic=0),
+            dict(uniting_threshold=float("nan")),
+            dict(uniting_threshold=float("inf")),
+            dict(xi=float("nan")),
+            dict(xi=float("inf")),
+            dict(penalty=float("nan")),
+            dict(penalty=float("inf")),
         ],
     )
     def test_invalid_params(self, bad):

@@ -97,6 +97,24 @@ class TestCrossover:
         with pytest.raises(ValueError):
             crossover_2pt_at([1, 2], [1, 2, 3], 1, 1)
 
+    def test_draw_matches_two_independent_cuts(self):
+        # the draw crossover_2pt has always made, kept here as the reference:
+        # one integers(size=2) call, sorted; same pair, same generator state after
+        def reference(a, b, rng):
+            lo, hi = sorted(int(p) for p in rng.integers(1, len(a) + 1, size=2))
+            return crossover_2pt_at(a, b, lo, hi)
+
+        for n in (1, 2, 5, 47, 49, 1000):
+            a = np.arange(n)
+            b = np.arange(n) + n
+            for seed in range(30):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(5):
+                    x, y = crossover_2pt(a, b, ours)
+                    rx, ry = reference(a, b, theirs)
+                    assert x.tolist() == rx.tolist() and y.tolist() == ry.tolist()
+                assert ours.bit_generator.state == theirs.bit_generator.state
+
     def test_random_cuts_yield_some_legal_pair(self):
         rng = np.random.default_rng(53)
         a = np.array([1, 2, 3, 4])
@@ -267,6 +285,8 @@ class TestRunGa:
             dict(k_max=0),
             dict(penalty=-1.0),
             dict(known_chromatic=0),
+            dict(penalty=float("nan")),
+            dict(penalty=float("inf")),
         ],
     )
     def test_invalid_params(self, bad):

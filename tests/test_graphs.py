@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+from colorica import graphs
 from colorica.graphs import (
     GENERATORS,
     MAX_VERTICES,
@@ -274,6 +275,43 @@ class TestGenerators:
         # checked before anything is built: queen 129 would take minutes otherwise
         with pytest.raises(ValueError, match=str(MAX_VERTICES)):
             GENERATORS[family](param)
+
+
+class TestEdgeBound:
+    # every case lowers the bound first, so nothing large is ever built
+
+    @pytest.mark.parametrize(
+        "family,fits,over,m_over",
+        [("complete", 5, 6, 15), ("queen", 3, 4, 76), ("mycielski", 5, 6, 236)],
+    )
+    def test_generators_refuse_more_edges_than_the_bound(self, monkeypatch, family, fits, over, m_over):
+        bound = GENERATORS[family](fits).m
+        monkeypatch.setattr(graphs, "MAX_EDGES", bound)
+        assert GENERATORS[family](fits).m == bound
+        with pytest.raises(ValueError, match=f"{m_over} edges, more than the supported {bound}"):
+            GENERATORS[family](over)
+
+    def test_queen_edge_formula(self, monkeypatch):
+        # the bound is checked from b(b-1)(5b-1)/3 before the pair loop runs
+        edge_counts = {b: queen_graph(b).m for b in range(2, 10)}
+        for b, m in edge_counts.items():
+            monkeypatch.setattr(graphs, "MAX_EDGES", m)
+            queen_graph(b)
+            monkeypatch.setattr(graphs, "MAX_EDGES", m - 1)
+            with pytest.raises(ValueError, match=f"{m} edges"):
+                queen_graph(b)
+
+    def test_parse_dimacs_refuses_more_distinct_edges_than_the_bound(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_EDGES", 2)
+        text = "p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n"
+        with pytest.raises(DimacsFormatError, match="line 4: more than the supported 2 edges"):
+            parse_dimacs(text)
+
+    def test_parse_dimacs_counts_distinct_edges_only(self, monkeypatch, caplog):
+        monkeypatch.setattr(graphs, "MAX_EDGES", 2)
+        with caplog.at_level(logging.WARNING):
+            g = parse_dimacs("p edge 3 4\ne 1 2\ne 2 1\ne 2 3\ne 1 2\n")
+        assert g.edges == ((1, 2), (2, 3))
 
 
 class TestMaxDegree:
