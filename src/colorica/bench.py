@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 from .coloring import count_conflicts, distinct_colours
 from .dica import DicaParams, run_dica
@@ -28,6 +28,8 @@ CSV_HEADER = (
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One solve's report row: its fields fill CSV_HEADER's columns, in order."""
+
     graph_name: str
     algorithm: str
     seed: int
@@ -59,7 +61,7 @@ def resolve_chromatic(
     if meta.known_chromatic is not None:
         chi = meta.known_chromatic
         if not 1 <= chi <= g.n:
-            raise ValueError(f"chromatic number {chi} out of range for {meta.name}")
+            raise ValueError(f"chromatic number {chi} of {meta.name} is not in 1..{g.n}")
         return chi
     try:
         return chromatic_number_exact(g, limit)
@@ -78,7 +80,8 @@ def run_trials(
     runs: int = 20,
     seed_base: int = 1,
 ) -> list[TrialRecord]:
-    """Run `runs` independent solves seeded seed_base..seed_base+runs-1."""
+    """Run `runs` independent solves seeded seed_base..seed_base+runs-1, judged
+    against `meta`'s chromatic number, else the exact oracle's."""
     if algo not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algo!r}")
     if runs < 1:
@@ -148,43 +151,20 @@ def emit_report(records: list[TrialRecord], format: str = "table") -> str:
     """Render records as an aligned table, exact-schema CSV, or JSON array."""
     if not records:
         raise ValueError("no records to report")
+    columns = CSV_HEADER.split(",")
+    rows = [dict(zip(columns, astuple(r))) for r in records]
     if format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        for r in records:
-            writer.writerow(
-                [
-                    r.graph_name,
-                    r.algorithm,
-                    r.seed,
-                    str(r.success).lower(),
-                    r.conflicts,
-                    r.colours_used,
-                    _fmt_num(r.best_cost),
-                    r.iterations_executed,
-                    f"{r.elapsed_ms:.3f}",
-                ]
-            )
+        writer = csv.DictWriter(buf, columns, lineterminator="\n")
+        writer.writeheader()
+        for row in rows:
+            row["success"] = str(row["success"]).lower()
+            row["best_cost"] = _fmt_num(row["best_cost"])
+            row["elapsed_ms"] = f"{row['elapsed_ms']:.3f}"
+            writer.writerow(row)
         return buf.getvalue()
     if format == "json":
-        return json.dumps(
-            [
-                {
-                    "graph": r.graph_name,
-                    "algorithm": r.algorithm,
-                    "seed": r.seed,
-                    "success": r.success,
-                    "conflicts": r.conflicts,
-                    "colours_used": r.colours_used,
-                    "best_cost": r.best_cost,
-                    "iterations": r.iterations_executed,
-                    "elapsed_ms": r.elapsed_ms,
-                }
-                for r in records
-            ],
-            indent=2,
-        )
+        return json.dumps(rows, indent=2)
     if format == "table":
         header = (
             "graph",

@@ -13,7 +13,7 @@ import typing
 from dataclasses import fields
 from pathlib import Path
 
-from .bench import emit_report, resolve_chromatic, run_trials
+from .bench import ALGORITHMS, emit_report, resolve_chromatic, run_trials
 from .coloring import format_colouring
 from .dica import DicaParams, run_dica
 from .engine import SearchParams
@@ -90,7 +90,6 @@ def _add_field_flags(group, cls, skip=()) -> None:
 
 
 def _add_common_solver_flags(p: argparse.ArgumentParser, skip=()) -> None:
-    p.add_argument("--algo", choices=("dica", "ga"), default="dica", help="solver to run")
     _add_field_flags(p, SearchParams, skip)
     shared = {f.name for f in fields(SearchParams)}
     grp_d = p.add_argument_group("dica options")
@@ -131,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="known chromatic number (needed for --early-stop)",
     )
+    p_solve.add_argument("--algo", choices=ALGORITHMS, default="dica", help="solver to run")
     _add_common_solver_flags(p_solve)
 
     p_bench = sub.add_parser(
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--format", choices=("table", "csv", "json"), default="table", help="report format")
     p_bench.add_argument(
         "--algos",
-        choices=("dica", "ga", "both"),
+        choices=(*ALGORITHMS, "both"),
         default="both",
         help="which solvers to benchmark",
     )
@@ -172,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("graph", help="DIMACS .col file")
     p_oracle.add_argument("--k", type=int, default=None, help="check k-colourability instead of computing the chromatic number")
-    p_oracle.add_argument("--max-vertices", type=int, default=32, help="refuse graphs larger than this")
-    p_oracle.add_argument("--node-budget", type=int, default=10**8, help="refuse after this many search nodes")
+    p_oracle.add_argument("--max-vertices", type=int, default=OracleLimit.max_vertices, help="refuse graphs larger than this")
+    p_oracle.add_argument("--node-budget", type=int, default=OracleLimit.node_budget, help="refuse after this many search nodes")
 
     return parser
 
@@ -230,8 +230,8 @@ def _cmd_gen(ns: argparse.Namespace) -> int:
 def _cmd_solve(ns: argparse.Namespace) -> int:
     g = _load_graph(ns.graph)
     _warn_vestigial(ns)
-    if ns.chromatic is not None and not 1 <= ns.chromatic <= g.n:
-        raise ValueError(f"--chromatic must be in 1..{g.n}, got {ns.chromatic}")
+    if ns.chromatic is not None:
+        resolve_chromatic(g, GraphMeta(Path(ns.graph).stem, ns.chromatic))  # range check
     solver = run_dica if ns.algo == "dica" else run_ga
     result = solver(g, _engine_params(ns, ns.algo, ns.chromatic))
     print(f"best_cost: {result.best_cost:g}")
@@ -254,15 +254,16 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
         except ValueError:
             raise ValueError(f"bad --chromatic {item!r}: K must be an integer")
     _warn_vestigial(ns)
-    algos = ("dica", "ga") if ns.algos == "both" else (ns.algos,)
+    algos = ALGORITHMS if ns.algos == "both" else (ns.algos,)
     records = []
     for spec in ns.instances:
         g, meta = _parse_instance(spec)
         if meta.name in overrides:
             meta = GraphMeta(name=meta.name, known_chromatic=overrides[meta.name])
-        chi = resolve_chromatic(g, meta) if ns.early_stop else None
+        # resolved once, for every engine's early stop and success check
+        meta = GraphMeta(name=meta.name, known_chromatic=resolve_chromatic(g, meta))
         for algo in algos:
-            base = _engine_params(ns, algo, chi)
+            base = _engine_params(ns, algo, meta.known_chromatic)
             records.extend(
                 run_trials(g, meta, algo, base, runs=ns.runs, seed_base=ns.seed_base)
             )

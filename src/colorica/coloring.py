@@ -9,6 +9,7 @@ one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,17 +26,18 @@ BATCH_CELLS = 1 << 21
 
 @dataclass(frozen=True)
 class CostParams:
-    """Penalty weight per conflicting edge; penalty >= n guarantees dominance."""
+    """Penalty weight per conflicting edge, finite and > 0; >= n guarantees dominance."""
 
     penalty: float
 
     def __post_init__(self) -> None:
-        if self.penalty <= 0:
-            raise ValueError(f"penalty must be positive, got {self.penalty}")
+        if not 0.0 < self.penalty < math.inf:
+            raise ValueError(f"penalty must be finite and > 0, got {self.penalty}")
 
     @classmethod
     def for_graph(cls, g: Graph) -> "CostParams":
-        return cls(penalty=g.n)
+        """The default penalty: the vertex count, as a float."""
+        return cls(penalty=float(g.n))
 
 
 def _as_array(g: Graph, col: Sequence[int]) -> np.ndarray:
@@ -63,14 +65,13 @@ def distinct_colours(col: Sequence[int]) -> int:
 
 def cost(g: Graph, col: Sequence[int], params: CostParams):
     """Penalised cost: distinct colours if proper, else conflicts * penalty + distinct."""
-    return cost_from_counts(count_conflicts(g, col), distinct_colours(col), params)
+    return cost_from_counts([count_conflicts(g, col)], [distinct_colours(col)], params)[0]
 
 
-def cost_from_counts(conflicts: int, used: int, params: CostParams):
-    """The penalised cost of a colouring whose clash and colour counts are known."""
-    if conflicts == 0:
-        return used
-    return conflicts * params.penalty + used
+def cost_from_counts(conflicts: list[int], used: list[int], params: CostParams) -> list:
+    """The penalised cost of each colouring with the given clash and colour counts."""
+    penalty = params.penalty
+    return [u if c == 0 else c * penalty + u for c, u in zip(conflicts, used)]
 
 
 def batch_costs(
@@ -107,9 +108,7 @@ def batch_costs(
         present = np.zeros((top + 1, t.shape[1]), dtype=bool)
         present[t, np.arange(t.shape[1])] = True
         used += np.count_nonzero(present, axis=0).tolist()
-    # cost_from_counts, inlined: one call per row shows in a profile
-    penalty = params.penalty
-    return [u if c == 0 else c * penalty + u for c, u in zip(conflicts, used)], conflicts, used
+    return cost_from_counts(conflicts, used, params), conflicts, used
 
 
 def is_valid(g: Graph, col: Sequence[int]) -> bool:

@@ -306,7 +306,7 @@ def descend(
     present = np.zeros((count, width), dtype=bool)
     present[rows[:, None], out] = True
     used = np.count_nonzero(present, axis=1).tolist()
-    return out, [cost_from_counts(c, k, cost_params) for c, k in zip(clashes, used)]
+    return out, cost_from_counts(clashes, used, cost_params)
 
 
 def exchange_if_better(empire: Empire) -> bool:
@@ -430,11 +430,6 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     costs = batch_costs(g, np.array(population), cost_params)[0]
 
     n_imp = max(1, round(params.imperialist_fraction * params.population_size))
-    if n_imp >= params.population_size:
-        raise ValueError(
-            f"{n_imp} imperialists leave no colonies in a population of "
-            f"{params.population_size}"
-        )
     empires = form_empires(population, costs, n_imp, rng)
 
     best = BestSoFar(g, population, costs)

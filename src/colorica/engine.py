@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloring import CostParams, count_conflicts, distinct_colours
-from .graphs import Graph, max_degree
+from .graphs import MAX_VERTICES, Graph, max_degree
 
 TERMINATED_DECADES = "decades_exhausted"
 TERMINATED_SINGLE_EMPIRE = "single_empire"
@@ -38,20 +38,21 @@ class SearchParams:
     def validate(self) -> None:
         if self.population_size < 1:
             raise ValueError(f"population_size must be >= 1, got {self.population_size}")
-        if self.k_max is not None and self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.penalty is not None and not 0.0 < self.penalty < math.inf:
-            raise ValueError(f"penalty must be finite and > 0, got {self.penalty}")
+        # no colouring of a graph within the vertex bound needs more colours
+        if self.k_max is not None and not 1 <= self.k_max <= MAX_VERTICES:
+            raise ValueError(f"k_max must be in 1..{MAX_VERTICES}, got {self.k_max}")
+        if self.penalty is not None:
+            CostParams(self.penalty)  # refuses a penalty not finite and > 0
         if self.known_chromatic is not None and self.known_chromatic < 1:
             raise ValueError(f"known_chromatic must be >= 1, got {self.known_chromatic}")
 
     def cost_params(self, g: Graph) -> CostParams:
-        """The penalty, by default the vertex count as a float; refused if the
-        worst cost on `g` would not be a finite float."""
-        penalty = float(g.n) if self.penalty is None else self.penalty
-        if not math.isfinite(penalty * g.m + g.n):
-            raise ValueError(f"penalty {penalty} overflows the cost of a {g.m}-edge graph")
-        return CostParams(penalty)
+        """The given penalty, else `CostParams.for_graph`'s; refused if the worst
+        cost on `g` would not be a finite float."""
+        params = CostParams.for_graph(g) if self.penalty is None else CostParams(self.penalty)
+        if not math.isfinite(params.penalty * g.m + g.n):
+            raise ValueError(f"penalty {params.penalty} overflows the cost of a {g.m}-edge graph")
+        return params
 
 
 @dataclass(frozen=True)

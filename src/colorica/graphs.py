@@ -170,7 +170,10 @@ def write_dimacs(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_edge_count(what: str, m: int) -> None:
+def _check_size(what: str, n: int, m: int) -> None:
+    """Refuse a generated graph of n vertices and m edges past either bound."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"{what} has more than the supported {MAX_VERTICES} vertices")
     if m > MAX_EDGES:
         raise ValueError(f"{what} has {m} edges, more than the supported {MAX_EDGES}")
 
@@ -179,9 +182,7 @@ def complete_graph(k: int) -> Graph:
     """K_k: every pair of the k vertices adjacent; chromatic number k."""
     if k < 1:
         raise ValueError(f"complete graph needs k >= 1, got {k}")
-    if k > MAX_VERTICES:
-        raise ValueError(f"complete graph {k} has more than the supported {MAX_VERTICES} vertices")
-    _check_edge_count(f"complete graph {k}", k * (k - 1) // 2)
+    _check_size(f"complete graph {k}", k, k * (k - 1) // 2)
     edges = tuple((u, v) for u in range(1, k + 1) for v in range(u + 1, k + 1))
     return Graph(k, edges)
 
@@ -195,16 +196,12 @@ def mycielski_graph(level: int) -> Graph:
     """
     if level < 2:
         raise ValueError(f"mycielski level must be >= 2, got {level}")
-    # n = 3 * 2^(level - 2) - 1; testing the level first keeps a huge level
-    # from computing that power
-    if level - 2 >= MAX_VERTICES.bit_length() or 3 * 2 ** (level - 2) - 1 > MAX_VERTICES:
-        raise ValueError(
-            f"mycielski level {level} has more than the supported {MAX_VERTICES} vertices"
-        )
+    # n more than doubles per step, so after MAX_VERTICES.bit_length() steps it
+    # is past the bound, and a huge level costs no more than that
     vertices, m = 2, 1
-    for _ in range(level - 2):
+    for _ in range(min(level - 2, MAX_VERTICES.bit_length())):
         vertices, m = 2 * vertices + 1, 3 * m + vertices
-    _check_edge_count(f"mycielski level {level}", m)
+    _check_size(f"mycielski level {level}", vertices, m)
     n = 2
     edges: list[tuple[int, int]] = [(1, 2)]
     for _ in range(level - 2):
@@ -223,9 +220,7 @@ def queen_graph(b: int) -> Graph:
     """b x b queen graph: cells adjacent when they share a row, column or diagonal."""
     if b < 1:
         raise ValueError(f"queen graph needs board size >= 1, got {b}")
-    if b * b > MAX_VERTICES:
-        raise ValueError(f"queen graph {b} has more than the supported {MAX_VERTICES} vertices")
-    _check_edge_count(f"queen graph {b}", b * (b - 1) * (5 * b - 1) // 3)
+    _check_size(f"queen graph {b}", b * b, b * (b - 1) * (5 * b - 1) // 3)
     cells = [(r, c) for r in range(1, b + 1) for c in range(1, b + 1)]
     vid = lambda r, c: (r - 1) * b + c
     edges = []

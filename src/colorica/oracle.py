@@ -21,6 +21,11 @@ class OracleLimit:
     node_budget: int = 10**8
 
 
+def _check_vertices(g: Graph, limit: OracleLimit) -> None:
+    if g.n > limit.max_vertices:
+        raise OracleLimitExceeded(f"graph has {g.n} vertices, limit is {limit.max_vertices}")
+
+
 def _greedy_clique(g: Graph) -> int:
     """Size of a greedily grown clique (descending degree order); lower bound on chi."""
     order = sorted(range(1, g.n + 1), key=lambda v: (-len(g.adjacency[v]), v))
@@ -83,10 +88,7 @@ def exists_colouring(g: Graph, k: int, limit: OracleLimit = OracleLimit()) -> bo
     """True iff a proper k-colouring exists; raises OracleLimitExceeded on refusal."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if g.n > limit.max_vertices:
-        raise OracleLimitExceeded(
-            f"graph has {g.n} vertices, limit is {limit.max_vertices}"
-        )
+    _check_vertices(g, limit)
     found, _ = _search(g, k, limit.node_budget)
     return found
 
@@ -97,10 +99,7 @@ def chromatic_number_exact(g: Graph, limit: OracleLimit = OracleLimit()) -> int:
     Starts from a greedy-clique lower bound (instant on complete graphs) and
     increments k; the node budget is cumulative across the k-checks.
     """
-    if g.n > limit.max_vertices:
-        raise OracleLimitExceeded(
-            f"graph has {g.n} vertices, limit is {limit.max_vertices}"
-        )
+    _check_vertices(g, limit)
     budget = limit.node_budget
     k = max(1, _greedy_clique(g))
     while True:

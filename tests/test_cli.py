@@ -13,6 +13,7 @@ from colorica.dica import DicaParams
 from colorica.engine import RunResult
 from colorica.ga import GaParams
 from colorica.graphs import parse_dimacs
+from colorica.oracle import OracleLimit, chromatic_number_exact
 
 FAST = ["--population-size", "10", "--decades", "5", "--generations", "5"]
 
@@ -233,6 +234,14 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: penalty") and "Traceback" not in err
 
+    @pytest.mark.parametrize("algo", ["dica", "ga"])
+    def test_k_max_past_the_vertex_bound_exits_one_with_a_message(self, algo, tmp_path, capsys):
+        # 10**20 does not fit a C long, which the palette's modulo needs
+        path = _write_k3(tmp_path)
+        assert main(["solve", str(path), "--algo", algo, "--k-max", str(10**20), *FAST]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: k_max must be in 1..") and "Traceback" not in err
+
     def test_vestigial_flag_is_accepted_with_notice(self, tmp_path, caplog):
         path = _write_k3(tmp_path)
         with caplog.at_level(logging.WARNING, logger="colorica.cli"):
@@ -331,6 +340,26 @@ class TestBench:
         capsys.readouterr()
         assert main(["bench", str(big), "--early-stop", "--runs", "1", *FAST]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_algo_is_not_a_bench_flag(self, capsys):
+        # bench picks its engines with --algos
+        assert main(["bench", "complete:3", "--algo", "ga", "--runs", "1", *FAST]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "--algo ga" in err
+
+    def test_file_chromatic_number_is_resolved_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(g, limit=OracleLimit()):
+            calls.append(g)
+            return chromatic_number_exact(g, limit)
+
+        monkeypatch.setattr("colorica.bench.chromatic_number_exact", counted)
+        path = _write_k3(tmp_path)
+        argv = ["bench", str(path), "--early-stop", "--algos", "both", "--runs", "2", *FAST]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert "2(0)" in capsys.readouterr().out
 
     def test_bad_generator_spec_exits_one(self):
         assert main(["bench", "complete:x", "--runs", "1"]) == 1

@@ -13,6 +13,7 @@ from colorica.coloring import (
     format_colouring,
     is_valid,
 )
+from colorica.engine import SearchParams
 from colorica.graphs import Graph, complete_graph
 from colorica.oracle import chromatic_number_exact
 
@@ -83,6 +84,17 @@ class TestCost:
     def test_nonpositive_penalty_rejected(self):
         with pytest.raises(ValueError):
             CostParams(penalty=0)
+
+    @pytest.mark.parametrize("penalty", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_penalty_rejected(self, penalty):
+        with pytest.raises(ValueError, match="penalty must be finite and > 0"):
+            CostParams(penalty)
+
+    def test_default_penalty_is_the_engines_float(self):
+        g = complete_graph(5)
+        penalty = CostParams.for_graph(g).penalty
+        assert type(penalty) is float and penalty == g.n
+        assert penalty == SearchParams().cost_params(g).penalty
 
     def test_matches_reference_on_random_pairs(self):
         rng = np.random.default_rng(7)

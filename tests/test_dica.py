@@ -27,7 +27,7 @@ from colorica.dica import (
     run_dica,
     unite_similar_empires,
 )
-from colorica.graphs import Graph, complete_graph, mycielski_graph
+from colorica.graphs import MAX_VERTICES, Graph, complete_graph, mycielski_graph
 
 
 def _empire(imp_cost, colony_costs, n=4, seed=0):
@@ -689,6 +689,7 @@ class TestRunDica:
             dict(xi=float("inf")),
             dict(penalty=float("nan")),
             dict(penalty=float("inf")),
+            dict(k_max=MAX_VERTICES + 1),
         ],
     )
     def test_invalid_params(self, bad):

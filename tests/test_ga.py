@@ -14,7 +14,7 @@ from colorica.ga import (
     roulette_select,
     run_ga,
 )
-from colorica.graphs import Graph, complete_graph, mycielski_graph, queen_graph
+from colorica.graphs import MAX_VERTICES, Graph, complete_graph, mycielski_graph, queen_graph
 
 
 class TestRouletteSelect:
@@ -287,6 +287,7 @@ class TestRunGa:
             dict(known_chromatic=0),
             dict(penalty=float("nan")),
             dict(penalty=float("inf")),
+            dict(k_max=MAX_VERTICES + 1),
         ],
     )
     def test_invalid_params(self, bad):
