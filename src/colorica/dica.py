@@ -35,6 +35,7 @@ from .engine import (  # noqa: F401
     RunResult,
     SearchParams,
     copy_segment,
+    copy_segments,
     cut_points,
     init_population,
     rank,
@@ -217,10 +218,7 @@ def colony_step(
     each.  Returns the children as a new array; the inputs are left untouched.
     """
     count, n = colonies.shape
-    cuts = cut_points(n, count, rng)
-    cell = np.arange(1, n + 1)
-    inside = (cuts[:, :1] <= cell) & (cell <= cuts[:, 1:])
-    children = np.where(inside, imperialists[owner], colonies)
+    children = copy_segments(imperialists[owner], colonies, cut_points(n, count, rng))
     rows = np.flatnonzero(rng.random(count) < revolution_rate)
     if n >= 2 and rows.size:
         i, j = _swap_cells(n, rows.size, rng).T

@@ -1,7 +1,8 @@
 """What both population engines share: the common parameters, the default
 penalty, the initial population, the cost-then-index ranking, the cut points
-and segment copy of assimilation and crossover, the roulette wheel, the
-best-so-far with its first-cheapest offer and early stop, and the run result.
+and segment copy of assimilation and crossover (one row or a batch), the
+roulette wheel, the best-so-far with its first-cheapest offer and early stop,
+and the run result.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ TERMINATED_EARLY_STOP = "early_stop"
 
 # the most population cells (population_size x vertex count) a run may hold:
 # 2^23 int64 cells are 64 MB, room for the default 300 countries at the
-# 16384-vertex input bound and for ga's stacked copy of a generation
+# 16384-vertex input bound.  ga holds two such arrays at once, its population
+# and the next generation's, which it builds in row chunks of
+# coloring.BATCH_CELLS cells; a ga run at the bound peaks near 225 MB
 MAX_POPULATION_CELLS = 1 << 23
 
 
@@ -45,6 +48,8 @@ class SearchParams:
             CostParams(self.penalty)  # refuses a penalty not finite and > 0
         if self.known_chromatic is not None and self.known_chromatic < 1:
             raise ValueError(f"known_chromatic must be >= 1, got {self.known_chromatic}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
     def cost_params(self, g: Graph) -> CostParams:
         """The given penalty, else `CostParams.for_graph`'s; refused if the worst
@@ -108,13 +113,20 @@ def cut_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 def copy_segment(donor, base, c1: int, c2: int) -> np.ndarray:
     """A copy of `base` with the donor's cells c1..c2 (1-based, inclusive)."""
     src = np.asarray(donor)
-    child = np.array(base)
+    child = np.asarray(base)
     if src.shape != child.shape:
         raise ValueError("donor and base lengths differ")
     if not 1 <= c1 <= c2 <= len(child):
         raise ValueError(f"need 1 <= c1 <= c2 <= {len(child)}, got c1={c1} c2={c2}")
-    child[c1 - 1 : c2] = src[c1 - 1 : c2]
-    return child
+    return copy_segments(src[None], child[None], np.array([[c1, c2]]))[0]
+
+
+def copy_segments(donors: np.ndarray, bases: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """`copy_segment` on a whole (count, n) batch: row i of `bases` with row i of
+    `donors`' cells cuts[i, 0]..cuts[i, 1] (1-based, inclusive), as a new array."""
+    cell = np.arange(1, bases.shape[1] + 1)
+    inside = (cuts[:, :1] <= cell) & (cell <= cuts[:, 1:])
+    return np.where(inside, donors, bases)
 
 
 def roulette_wheel(weights) -> tuple[np.ndarray, float]:

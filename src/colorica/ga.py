@@ -2,8 +2,9 @@
 
 Generational loop with roulette parent selection, two-point crossover,
 single-position mutation and a small elite carried over unchanged.  A
-generation's parents are drawn from one roulette wheel, and its children are
-scored together by one `batch_costs` call.
+generation's children are drawn, built and scored as one array: one spin of
+one roulette wheel picks every parent pair, each other random choice is one
+call, and one `batch_costs` call scores them all.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 # `cost` is not called here but stays importable as colorica.ga.cost, a name
 # the benchmark's probe and its tests look up
-from .coloring import batch_costs, cost  # noqa: F401
+from .coloring import BATCH_CELLS, batch_costs, cost  # noqa: F401
 from .engine import (
     TERMINATED_DECADES,
     TERMINATED_EARLY_STOP,
@@ -22,6 +23,7 @@ from .engine import (
     RunResult,
     SearchParams,
     copy_segment,
+    copy_segments,
     cut_points,
     init_population,
     rank,
@@ -99,45 +101,84 @@ def mutate(col, k_max: int, rng: np.random.Generator) -> np.ndarray:
     return child
 
 
+def breed(pool: np.ndarray, costs, elite, k_max: int, params: GaParams, rng) -> np.ndarray:
+    """The next generation of the (size, n) array `pool`, whose rows cost `costs`,
+    as a new (size, n) array: the rows `elite` first, then the children.
+
+    The children are the batched form of `roulette_select`, `crossover_2pt` and
+    `mutate`: pairs of parents come off one spin of a roulette wheel over
+    `costs`, each pair crosses over with probability `selection_probability`,
+    and each child then has one uniform cell set to a uniform colour in 1..k_max
+    with probability `mutation_rate`.  The parents, crossover coins, cut
+    points, mutation coins, cells and colours are drawn in one call each, in
+    that order.  Child 2i is pair i's first parent with the second's segment,
+    child 2i+1 the reverse; an odd child count drops the last pair's second
+    child.  Children are built in row chunks of about BATCH_CELLS cells.
+    """
+    size, n = pool.shape
+    count = size - len(elite)
+    pairs = (count + 1) // 2
+    parents = spin(_fitness_wheel(costs), rng.random((pairs, 2)))
+    crossed = rng.random(pairs) < params.selection_probability
+    cuts = cut_points(n, pairs, rng).repeat(2, axis=0)[:count]
+    bases = parents.ravel()[:count]
+    # a pair that does not cross over takes each child's segment from its own base
+    donors = np.where(crossed[:, None], parents[:, ::-1], parents).ravel()[:count]
+    nxt = np.empty_like(pool)
+    nxt[: len(elite)] = pool[elite]
+    children = nxt[len(elite) :]
+    step = max(1, BATCH_CELLS // n)
+    for start in range(0, count, step):
+        rows = slice(start, start + step)
+        children[rows] = copy_segments(pool[donors[rows]], pool[bases[rows]], cuts[rows])
+    mutants = np.flatnonzero(rng.random(count) < params.mutation_rate)
+    cells = rng.integers(n, size=mutants.size)
+    colours = rng.integers(1, k_max + 1, size=mutants.size)
+    children[mutants, cells] = colours
+    return nxt
+
+
 def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
     """Full generational loop; deterministic for a given (graph, params) pair.
 
-    The initial population and each generation's children are scored by one
-    `batch_costs` call each.  Each generation spins one roulette wheel, built
-    from the generation's costs, for every parent pair, builds the children one
-    pair at a time and offers the first cheapest child as the best.
+    The population is held as one (size, n) array, each generation built by one
+    `breed` call: its `elitism_count` cheapest rows (by `rank`) carried over
+    unchanged, then the children.  The initial population and each
+    generation's children are scored by one `batch_costs` call each, and the
+    first cheapest child is offered as the best.
     """
     params.validate()
     rng = np.random.default_rng(params.rng_seed)
     k_max = resolve_k_max(g, params.k_max)
     cost_params = params.cost_params(g)
 
+    # `population` lists the rows of `pool`, each elite carried over as the same
+    # object and each child a new one
     population = init_population(g, params, rng)
-    costs = batch_costs(g, np.array(population), cost_params)[0]
+    pool = np.array(population)
+    costs = batch_costs(g, pool, cost_params)[0]
 
     best = BestSoFar(g, population, costs)
-    n_children = params.population_size - params.elitism_count
+    kept = params.elitism_count
+    elite = rank(costs)[:kept]
 
     for generation in range(params.generations):
-        elite = rank(costs)[: params.elitism_count]
-        wheel = _fitness_wheel(costs)
-        children: list[np.ndarray] = []
-        while len(children) < n_children:
-            pi = spin(wheel, rng.random(2))
-            pa, pb = population[pi[0]], population[pi[1]]
-            if rng.random() < params.selection_probability:
-                pair = crossover_2pt(pa, pb, rng)
-            else:
-                pair = (pa.copy(), pb.copy())
-            # a pair that overfills the population loses its second child
-            for child in pair[: n_children - len(children)]:
-                if rng.random() < params.mutation_rate:
-                    child = mutate(child, k_max, rng)
-                children.append(child)
-        child_costs = batch_costs(g, np.array(children), cost_params)[0]
-        best.offer_cheapest(children, child_costs)
-        population = [population[i] for i in elite] + children
+        # the carried rows are picked out first, so that the other rows of the
+        # last population are freed before the next one is built
+        population = [population[i] for i in elite]
+        pool = breed(pool, costs, elite, k_max, params, rng)
+        child_costs = batch_costs(g, pool[kept:], cost_params)[0]
+        population += list(pool[kept:])
         costs = [costs[i] for i in elite] + child_costs
+        elite = rank(costs)[:kept]
+        cheapest = kept + int(np.argmin(child_costs))
+        # the children that can outlive this generation, the next elites and the
+        # best child, are copied out of `pool`, so that no row kept later holds a
+        # whole generation's array alive
+        for i in {cheapest, *elite}:
+            if i >= kept:
+                population[i] = population[i].copy()
+        best.offer(population[cheapest], costs[cheapest])
         if _inspect is not None:
             _inspect("end", generation, population, costs)
         if best.end_iteration(params):

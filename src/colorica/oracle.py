@@ -20,6 +20,12 @@ class OracleLimit:
     max_vertices: int = 32
     node_budget: int = 10**8
 
+    def __post_init__(self) -> None:
+        if self.max_vertices < 1:
+            raise ValueError(f"max_vertices must be >= 1, got {self.max_vertices}")
+        if self.node_budget < 1:
+            raise ValueError(f"node_budget must be >= 1, got {self.node_budget}")
+
 
 def _check_vertices(g: Graph, limit: OracleLimit) -> None:
     if g.n > limit.max_vertices:

@@ -242,6 +242,13 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: k_max must be in 1..") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,seed", [(["solve", "--seed=-1"], -1), (["bench", "--seed-base=-5"], -5)])
+    def test_negative_seed_exits_one_with_a_message(self, argv, seed, tmp_path, capsys):
+        path = _write_k3(tmp_path)
+        assert main([argv[0], str(path), *argv[1:], *FAST]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: rng_seed must be >= 0, got {seed}") and "Traceback" not in err
+
     def test_vestigial_flag_is_accepted_with_notice(self, tmp_path, caplog):
         path = _write_k3(tmp_path)
         with caplog.at_level(logging.WARNING, logger="colorica.cli"):
@@ -278,6 +285,13 @@ class TestOracle:
     def test_invalid_k_exits_one(self, tmp_path):
         path = _write_k3(tmp_path)
         assert main(["oracle", str(path), "--k", "0"]) == 1
+
+    @pytest.mark.parametrize("flag,name", [("--node-budget=-1", "node_budget"), ("--max-vertices=0", "max_vertices")])
+    def test_nonpositive_limit_exits_one_with_a_message(self, flag, name, tmp_path, capsys):
+        path = _write_k3(tmp_path)
+        assert main(["oracle", str(path), flag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be >= 1") and "Traceback" not in err
 
 
 class TestBench:

@@ -1,5 +1,5 @@
 """The shared engine core: the ranking and first-cheapest rules, the roulette
-wheel, the penalty bound and the population bound."""
+wheel, the segment copy, the penalty bound, the seed and the population bound."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,9 @@ from colorica.engine import (
     MAX_POPULATION_CELLS,
     BestSoFar,
     SearchParams,
+    copy_segment,
+    copy_segments,
+    cut_points,
     init_population,
     rank,
     roulette_wheel,
@@ -53,6 +56,31 @@ class TestRouletteWheel:
 
     def test_total(self):
         assert roulette_wheel([0.5, 0.25, 0.25])[1] == 1.0
+
+
+class TestCopySegments:
+    def test_each_row_is_copy_segment(self):
+        gen = np.random.default_rng(17)
+        for n in (1, 2, 7, 50):
+            donors = gen.integers(1, 9, size=(30, n))
+            bases = gen.integers(1, 9, size=(30, n))
+            cuts = cut_points(n, 30, gen)
+            got = copy_segments(donors, bases, cuts)
+            for i, (c1, c2) in enumerate(cuts.tolist()):
+                assert got[i].tolist() == copy_segment(donors[i], bases[i], c1, c2).tolist()
+
+    def test_inputs_unchanged(self):
+        donors, bases = np.ones((2, 4), dtype=np.int64), np.zeros((2, 4), dtype=np.int64)
+        got = copy_segments(donors, bases, np.array([[1, 2], [4, 4]]))
+        assert got.tolist() == [[1, 1, 0, 0], [0, 0, 0, 1]]
+        assert donors.min() == 1 and bases.max() == 0
+
+
+class TestSeed:
+    def test_negative_seed_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
+            SearchParams(rng_seed=-1).validate()
+        SearchParams(rng_seed=0).validate()
 
 
 class TestPopulationBound:

@@ -1,13 +1,18 @@
 """Genetic baseline: selection statistics, crossover examples, run behaviour."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import colorica.ga
 
 from colorica.coloring import CostParams, cost, count_conflicts, distinct_colours, is_valid
 from colorica.dica import TERMINATED_DECADES, TERMINATED_EARLY_STOP
 from colorica.engine import BestSoFar, init_population, resolve_k_max
 from colorica.ga import (
     GaParams,
+    breed,
     crossover_2pt,
     crossover_2pt_at,
     mutate,
@@ -296,8 +301,9 @@ class TestRunGa:
 
 
 def _child_by_child_ga(g, params, _inspect=None):
-    """The generation loop as it was before batching: a roulette wheel built per
-    parent pair, and each child scored and offered as the best on its own."""
+    """The generation loop child by child: the random draws `breed` makes, in the
+    same order and shapes, then each child built on its own by `crossover_2pt_at`
+    or a copy and a one-cell assignment, scored by `cost` and offered as the best."""
     params.validate()
     rng = np.random.default_rng(params.rng_seed)
     k_max = resolve_k_max(g, params.k_max)
@@ -306,26 +312,33 @@ def _child_by_child_ga(g, params, _inspect=None):
     costs = [cost(g, c, cost_params) for c in population]
     best = BestSoFar(g, population, costs)
     size = params.population_size
+    n_children = size - params.elitism_count
+    pairs = (n_children + 1) // 2
     for generation in range(params.generations):
         order = sorted(range(size), key=lambda i: (costs[i], i))
         new_pop = [population[i] for i in order[: params.elitism_count]]
         new_costs = [costs[i] for i in order[: params.elitism_count]]
-        while len(new_pop) < size:
-            pi = roulette_select(costs, 2, rng)
-            pa, pb = population[int(pi[0])], population[int(pi[1])]
-            if rng.random() < params.selection_probability:
-                children = crossover_2pt(pa, pb, rng)
+        picks = roulette_select(costs, 2 * pairs, rng).reshape(pairs, 2)
+        crossed = rng.random(pairs) < params.selection_probability
+        cuts = np.sort(rng.integers(1, g.n + 1, size=(pairs, 2)), axis=1)
+        mutating = rng.random(n_children) < params.mutation_rate
+        cells = rng.integers(g.n, size=int(mutating.sum()))
+        colours = rng.integers(1, k_max + 1, size=cells.size)
+        mutations = iter(zip(cells.tolist(), colours.tolist()))
+        for j in range(n_children):
+            pair, side = divmod(j, 2)
+            a, b = population[picks[pair, 0]], population[picks[pair, 1]]
+            if crossed[pair]:
+                child = crossover_2pt_at(a, b, int(cuts[pair, 0]), int(cuts[pair, 1]))[side]
             else:
-                children = (pa.copy(), pb.copy())
-            for child in children:
-                if len(new_pop) >= size:
-                    break
-                if rng.random() < params.mutation_rate:
-                    child = mutate(child, k_max, rng)
-                child_cost = cost(g, child, cost_params)
-                new_pop.append(child)
-                new_costs.append(child_cost)
-                best.offer(child, child_cost)
+                child = (a, b)[side].copy()
+            if mutating[j]:
+                cell, colour = next(mutations)
+                child[cell] = colour
+            child_cost = cost(g, child, cost_params)
+            new_pop.append(child)
+            new_costs.append(child_cost)
+            best.offer(child, child_cost)
         population, costs = new_pop, new_costs
         if _inspect is not None:
             _inspect("end", generation, population, costs)
@@ -335,8 +348,8 @@ def _child_by_child_ga(g, params, _inspect=None):
 
 
 class TestBatchedGeneration:
-    """run_ga scores a generation's children in one batch and spins one wheel per
-    generation; results, populations and cost types equal the child-by-child loop."""
+    """run_ga draws, builds and scores a generation's children as one array;
+    results, populations and cost types equal the child-by-child loop."""
 
     GRAPHS = {"k6": complete_graph(6), "myciel3": mycielski_graph(4), "queen4": queen_graph(4)}
     PARAMS = [
@@ -368,3 +381,92 @@ class TestBatchedGeneration:
         assert got == want
         assert type(got.best_cost) is type(want.best_cost)
         assert got_seen == want_seen
+
+
+class TestBreed:
+    """What each child of a generation may be, whatever the draws."""
+
+    K_MAX = 50
+
+    @staticmethod
+    def _record(monkeypatch, name):
+        """Record what each call to ga's `name` returns."""
+        calls = []
+        real = getattr(colorica.ga, name)
+
+        def recording(*args):
+            out = real(*args)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(colorica.ga, name, recording)
+        return calls
+
+    def _breed(self, size, elite, seed, **kw):
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(1, self.K_MAX + 1, size=(size, 30))
+        costs = rng.integers(1, 20, size=size).tolist()
+        params = GaParams(population_size=size, elitism_count=len(elite), **kw)
+        return pool, breed(pool, costs, elite, self.K_MAX, params, rng)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_without_crossover_or_mutation_each_child_is_its_parent(self, monkeypatch, seed):
+        spins = self._record(monkeypatch, "spin")
+        pool, nxt = self._breed(20, [4, 0], seed, selection_probability=0.0, mutation_rate=0.0)
+        (parents,) = spins
+        assert parents.shape == (9, 2)
+        np.testing.assert_array_equal(nxt[:2], pool[[4, 0]])
+        np.testing.assert_array_equal(nxt[2:], pool[parents.ravel()])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_full_mutation_changes_at_most_one_cell_of_the_crossover(self, monkeypatch, seed):
+        spins = self._record(monkeypatch, "spin")
+        cuts = self._record(monkeypatch, "cut_points")
+        pool, nxt = self._breed(21, [3], seed, selection_probability=1.0, mutation_rate=1.0)
+        (parents,), (cut,) = spins, cuts
+        changed = []
+        for j, child in enumerate(nxt[1:]):
+            pair, side = divmod(j, 2)
+            a, b = pool[parents[pair]]
+            crossed = crossover_2pt_at(a, b, int(cut[pair, 0]), int(cut[pair, 1]))[side]
+            changed.append(int(np.count_nonzero(child != crossed)))
+        assert max(changed) == 1
+        # one new colour in K_MAX is the old one
+        assert sum(changed) >= len(changed) // 2
+
+    def test_odd_child_count_drops_the_last_pairs_second_child(self, monkeypatch):
+        spins = self._record(monkeypatch, "spin")
+        pool, nxt = self._breed(8, [2], 3, selection_probability=0.0, mutation_rate=0.0)
+        (parents,) = spins
+        assert parents.shape == (4, 2)
+        np.testing.assert_array_equal(nxt[1:], pool[parents.ravel()[:7]])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_colours_stay_within_k_max(self, seed):
+        g = complete_graph(6)
+        params = GaParams(population_size=15, generations=10, k_max=3, mutation_rate=1.0, rng_seed=seed)
+        seen = set()
+
+        def watch(stage, generation, population, costs):
+            for row in population:
+                seen.update(row.tolist())
+
+        run_ga(g, params, _inspect=watch)
+        assert seen == {1, 2, 3}
+
+    def test_memory_does_not_grow_with_generations(self):
+        # all rows but one are carried over each generation: a carried row that
+        # kept its generation's array alive would add one such array (3.2 MB)
+        # to the peak per generation
+        g = Graph(2000, tuple((v, v + 1) for v in range(1, 2000)))
+        g.edge_index_arrays
+        peaks = []
+        for generations in (5, 40):
+            params = GaParams(population_size=200, generations=generations, elitism_count=199, k_max=3)
+            tracemalloc.start()
+            try:
+                run_ga(g, params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]

@@ -164,6 +164,12 @@ class TestRefusal:
         with pytest.raises(ValueError):
             exists_colouring(complete_graph(3), 0)
 
+    @pytest.mark.parametrize("bad", [dict(max_vertices=0), dict(max_vertices=-3), dict(node_budget=0), dict(node_budget=-1)])
+    def test_nonpositive_limits_rejected(self, bad):
+        (name,) = bad
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            OracleLimit(**bad)
+
     def test_within_limits_still_answers(self):
         limit = OracleLimit(max_vertices=15, node_budget=10**7)
         assert chromatic_number_exact(complete_graph(15), limit) == 15
