@@ -163,8 +163,9 @@ def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
     elite = rank(costs)[:kept]
 
     for generation in range(params.generations):
-        # the carried rows are picked out first, so that the other rows of the
-        # last population are freed before the next one is built
+        # the carried rows are picked out first, so that the rest of the last
+        # population (on the first pass, the initial rows) is freed before the
+        # next generation is built
         population = [population[i] for i in elite]
         pool = breed(pool, costs, elite, k_max, params, rng)
         child_costs = batch_costs(g, pool[kept:], cost_params)[0]

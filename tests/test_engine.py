@@ -59,7 +59,7 @@ class TestRouletteWheel:
 
 
 class TestCopySegments:
-    def test_each_row_is_copy_segment(self):
+    def test_each_row_takes_the_donors_slice(self):
         gen = np.random.default_rng(17)
         for n in (1, 2, 7, 50):
             donors = gen.integers(1, 9, size=(30, n))
@@ -67,7 +67,10 @@ class TestCopySegments:
             cuts = cut_points(n, 30, gen)
             got = copy_segments(donors, bases, cuts)
             for i, (c1, c2) in enumerate(cuts.tolist()):
-                assert got[i].tolist() == copy_segment(donors[i], bases[i], c1, c2).tolist()
+                want = bases[i].copy()
+                want[c1 - 1 : c2] = donors[i, c1 - 1 : c2]
+                assert got[i].tolist() == want.tolist()
+                assert copy_segment(donors[i], bases[i], c1, c2).tolist() == want.tolist()
 
     def test_inputs_unchanged(self):
         donors, bases = np.ones((2, 4), dtype=np.int64), np.zeros((2, 4), dtype=np.int64)

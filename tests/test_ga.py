@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import colorica.ga
-
 from colorica.coloring import CostParams, cost, count_conflicts, distinct_colours, is_valid
 from colorica.dica import TERMINATED_DECADES, TERMINATED_EARLY_STOP
 from colorica.engine import BestSoFar, init_population, resolve_k_max

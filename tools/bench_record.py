@@ -56,7 +56,9 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run: its result line and the provenance line before it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"error: {' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
     detail, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
     return {
         "seed": seed,
