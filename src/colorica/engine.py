@@ -22,8 +22,9 @@ TERMINATED_EARLY_STOP = "early_stop"
 # the most population cells (population_size x vertex count) a run may hold:
 # 2^23 int64 cells are 64 MB, room for the default 300 countries at the
 # 16384-vertex input bound.  ga holds two such arrays at once, its population
-# and the next generation's, which it builds in row chunks of
-# coloring.BATCH_CELLS cells; a ga run at the bound peaks near 225 MB
+# and the next generation's, which it fills from the first and then crosses
+# over in row chunks of coloring.BATCH_CELLS cells; a ga run at the bound
+# peaks near 235 MB
 MAX_POPULATION_CELLS = 1 << 23
 
 
@@ -144,8 +145,8 @@ def spin(wheel: tuple[np.ndarray, float], r):
 
 
 class BestSoFar:
-    """The cheapest colouring a run has seen (first cheapest initial row on) and
-    the per-iteration best costs.  Its clash and colour counts are taken when
+    """The cheapest colouring a run has seen (first cheapest initial row on), as
+    its own copy, and the per-iteration best costs.  Its clash and colour counts are taken when
     the best improves, never through `cost`, whose calls are the evaluations."""
 
     def __init__(self, g: Graph, population, costs) -> None:
@@ -155,9 +156,9 @@ class BestSoFar:
         self.offer_cheapest(population, costs)
 
     def offer(self, row: np.ndarray, cost) -> None:
-        """Keep `row` if it is strictly cheaper than the best so far."""
+        """Keep a copy of `row` if it is strictly cheaper than the best so far."""
         if cost < self.cost:
-            self.row, self.cost = row, cost
+            self.row, self.cost = np.array(row), cost
             self.conflicts = count_conflicts(self.g, row)
             self.used = distinct_colours(row)
 

@@ -113,7 +113,8 @@ def breed(pool: np.ndarray, costs, elite, k_max: int, params: GaParams, rng) -> 
     points, mutation coins, cells and colours are drawn in one call each, in
     that order.  Child 2i is pair i's first parent with the second's segment,
     child 2i+1 the reverse; an odd child count drops the last pair's second
-    child.  Children are built in row chunks of about BATCH_CELLS cells.
+    child.  Each child starts as a copy of its base parent; the segments of
+    the crossing children are pasted in row chunks of about BATCH_CELLS cells.
     """
     size, n = pool.shape
     count = size - len(elite)
@@ -122,15 +123,18 @@ def breed(pool: np.ndarray, costs, elite, k_max: int, params: GaParams, rng) -> 
     crossed = rng.random(pairs) < params.selection_probability
     cuts = cut_points(n, pairs, rng).repeat(2, axis=0)[:count]
     bases = parents.ravel()[:count]
-    # a pair that does not cross over takes each child's segment from its own base
-    donors = np.where(crossed[:, None], parents[:, ::-1], parents).ravel()[:count]
+    donors = parents[:, ::-1].ravel()[:count]
+    # only the children of a pair that crosses over take a donor's segment
+    crossing = np.flatnonzero(crossed.repeat(2)[:count])
     nxt = np.empty_like(pool)
     nxt[: len(elite)] = pool[elite]
     children = nxt[len(elite) :]
+    # mode="clip" (the indices are in range) writes `out` without a buffer copy
+    np.take(pool, bases, axis=0, out=children, mode="clip")
     step = max(1, BATCH_CELLS // n)
-    for start in range(0, count, step):
-        rows = slice(start, start + step)
-        children[rows] = copy_segments(pool[donors[rows]], pool[bases[rows]], cuts[rows])
+    for start in range(0, crossing.size, step):
+        rows = crossing[start : start + step]
+        children[rows] = copy_segments(pool[donors[rows]], children[rows], cuts[rows])
     mutants = np.flatnonzero(rng.random(count) < params.mutation_rate)
     cells = rng.integers(n, size=mutants.size)
     colours = rng.integers(1, k_max + 1, size=mutants.size)
@@ -172,14 +176,12 @@ def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
         population += list(pool[kept:])
         costs = [costs[i] for i in elite] + child_costs
         elite = rank(costs)[:kept]
-        cheapest = kept + int(np.argmin(child_costs))
-        # the children that can outlive this generation, the next elites and the
-        # best child, are copied out of `pool`, so that no row kept later holds a
-        # whole generation's array alive
-        for i in {cheapest, *elite}:
+        # the next elites are copied out of `pool`, so that no carried row holds
+        # a whole generation's array alive (`best` keeps its own copy)
+        for i in elite:
             if i >= kept:
                 population[i] = population[i].copy()
-        best.offer(population[cheapest], costs[cheapest])
+        best.offer_cheapest(population[kept:], child_costs)
         if _inspect is not None:
             _inspect("end", generation, population, costs)
         if best.end_iteration(params):

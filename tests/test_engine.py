@@ -131,7 +131,7 @@ class TestOfferCheapest:
             one.offer_cheapest(later, later_costs)
             for row, c in zip(later, later_costs):
                 each.offer(row, c)
-            assert one.row is each.row
+            assert np.array_equal(one.row, each.row)
             assert (one.cost, type(one.cost), one.conflicts, one.used) == (
                 each.cost, type(each.cost), each.conflicts, each.used
             )
@@ -140,15 +140,26 @@ class TestOfferCheapest:
         g = complete_graph(3)
         rows = [np.array([1, 2, 3]), np.array([1, 1, 2]), np.array([2, 3, 1])]
         best = BestSoFar(g, rows, [3, 4.0, 3.0])
-        assert best.row is rows[0] and best.cost == 3 and type(best.cost) is int
+        assert np.array_equal(best.row, rows[0]) and best.cost == 3 and type(best.cost) is int
 
     def test_no_improvement_keeps_the_best(self):
         g = complete_graph(3)
         rows = [np.array([1, 2, 3]), np.array([1, 1, 2])]
         best = BestSoFar(g, rows, [3, 5.0])
         best.offer_cheapest([np.array([3, 2, 1]), np.array([2, 2, 2])], [3.0, 11.0])
-        assert best.row is rows[0] and best.cost == 3 and type(best.cost) is int
+        assert np.array_equal(best.row, rows[0]) and best.cost == 3 and type(best.cost) is int
         assert (best.conflicts, best.used) == (0, 3)
+
+
+class TestBestRowIsOwned:
+    def test_keeps_a_copy_not_a_view(self):
+        # a row offered out of a whole batch must not keep that batch alive
+        g = complete_graph(3)
+        batch = np.array([[1, 1, 2], [1, 2, 3]])
+        best = BestSoFar(g, list(batch), [5.0, 3])
+        assert np.array_equal(best.row, batch[1]) and best.row.base is None
+        batch[1] = [2, 2, 2]
+        assert best.row.tolist() == [1, 2, 3] and (best.conflicts, best.used) == (0, 3)
 
 
 class TestCostParams:

@@ -1,17 +1,16 @@
 """Record the benchmark's end-to-end metrics over several seeds as BENCH_<label>.json.
 
-    python3 tools/bench_record.py LABEL[=CHECKOUT] ... [--seeds 10] [--seed-base 31]
-                                  [--seconds 40] [--workload NAME ...] [--out DIR]
+    python3 tools/bench_record.py LABEL[=CHECKOUT] ... [--seeds 10]
 
 Each LABEL names one colorica checkout (the current directory when no
-CHECKOUT is given).  For every seed, every workload runs once per checkout
-with `python3 perfbench/run.py --trace 0`, the checkouts taking turns to go
-first, so that two labels recorded together form alternating pairs.  The
-workloads default to those listed in the checkout's BENCHMARK.json.  Each
-BENCH_<label>.json holds the median and quartiles of every end-to-end metric
-per workload, every run's metrics and exact counts, and the provenance line
-of the runs (Python, numpy, CPU, core count and commit).  Uses the standard
-library only.
+CHECKOUT is given).  For each of the seeds 31, 32, ..., every workload listed
+in the first checkout's BENCHMARK.json runs once per checkout with
+`python3 perfbench/run.py --seconds 40 --trace 0`, the checkouts taking turns
+to go first, so that two labels recorded together form alternating pairs.
+Each BENCH_<label>.json, written to the current directory, holds the median
+and quartiles of every end-to-end metric per workload, every run's metrics
+and exact counts, and the provenance line of the runs (Python, numpy, CPU,
+core count and commit).  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -23,22 +22,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+SEED_BASE = 31
+SECONDS = 40.0
+
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description="Record BENCH_<label>.json files from perfbench runs.")
     p.add_argument("labels", nargs="+", metavar="LABEL[=CHECKOUT]")
-    p.add_argument("--seeds", type=int, default=10, help="number of seeds, from --seed-base on")
-    p.add_argument("--seed-base", type=int, default=31)
-    p.add_argument("--seconds", type=float, default=40.0, help="passed to perfbench/run.py")
-    p.add_argument("--workload", action="append", help="a workload to run; repeat for more")
-    p.add_argument("--out", default=".", help="directory for the BENCH_<label>.json files")
+    p.add_argument("--seeds", type=int, default=10, help=f"number of seeds, from {SEED_BASE} on")
     args = p.parse_args(argv)
     if args.seeds < 1:
         p.error("--seeds must be >= 1")
-    if args.seed_base < 0:
-        p.error("--seed-base must be >= 0")
-    if args.seconds <= 0:
-        p.error("--seconds must be > 0")
     checkouts = {}
     for item in args.labels:
         label, _, path = item.partition("=")
@@ -52,10 +46,10 @@ def parse_args(argv):
     return args
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int) -> dict:
     """One perfbench run: its result line and the provenance line before it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"error: {' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
@@ -85,14 +79,14 @@ def summarize(runs: list[dict]) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     first = next(iter(args.checkouts.values()))
-    workloads = args.workload or [w["name"] for w in json.loads((first / "BENCHMARK.json").read_text())["workloads"]]
+    workloads = [w["name"] for w in json.loads((first / "BENCHMARK.json").read_text())["workloads"]]
     runs = {label: {w: [] for w in workloads} for label in args.checkouts}
     order = list(args.checkouts)
-    for i in range(args.seeds):
-        seed = args.seed_base + i
+    seeds = [SEED_BASE + i for i in range(args.seeds)]
+    for i, seed in enumerate(seeds):
         for workload in workloads:
             for label in order if i % 2 == 0 else order[::-1]:
-                run = run_once(args.checkouts[label], workload, seed, args.seconds)
+                run = run_once(args.checkouts[label], workload, seed)
                 runs[label][workload].append(run)
                 print(f"{label} {workload} seed {seed}: op_s.p50 {run['metrics']['op_s.p50']:.4f}", file=sys.stderr)
     for label, by_workload in runs.items():
@@ -101,14 +95,14 @@ def main(argv=None) -> int:
         record = {
             "label": label,
             "provenance": provenance,
-            "seconds": args.seconds,
-            "seeds": [args.seed_base + i for i in range(args.seeds)],
+            "seconds": SECONDS,
+            "seeds": seeds,
             "workloads": {
                 w: {"metrics": summarize(rs), "runs": [{k: v for k, v in r.items() if k != "units"} for r in rs]}
                 for w, rs in by_workload.items()
             },
         }
-        path = Path(args.out) / f"BENCH_{label}.json"
+        path = Path(f"BENCH_{label}.json")
         path.write_text(json.dumps(record, indent=1) + "\n")
         print(f"wrote {path}")
     return 0
