@@ -150,8 +150,6 @@ class TestOfferCheapest:
         assert np.array_equal(best.row, rows[0]) and best.cost == 3 and type(best.cost) is int
         assert (best.conflicts, best.used) == (0, 3)
 
-
-class TestBestRowIsOwned:
     def test_keeps_a_copy_not_a_view(self):
         # a row offered out of a whole batch must not keep that batch alive
         g = complete_graph(3)
