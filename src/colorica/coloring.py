@@ -19,9 +19,13 @@ from .graphs import Graph
 
 # the memory budget of a batched array pass, in array cells: batch_costs caps
 # its rows per chunk so that the gathered (edge, row) colour pairs and the
-# (colour, row) presence mask stay near it, and dica.descend does the same for
+# (row, colour) presence mask stay near it, and dica.descend does the same for
 # its neighbour-colour table
 BATCH_CELLS = 1 << 21
+
+# batch_costs sums an (edge, row) clash mask in uint16 over blocks of at most
+# this many edges, so that no count wraps and no wider copy of the mask is made
+CLASH_BLOCK = (1 << 16) - 1
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,9 @@ def batch_costs(
     distinct_colours give it, int or float alike.  Rows are transposed to
     (n, count) in the smallest unsigned dtype that holds the largest colour,
     so each edge compares two contiguous rows, and are taken in chunks of
-    about BATCH_CELLS cells, in row order.
+    about BATCH_CELLS cells, in row order.  A chunk's clashes are summed in
+    uint16 over blocks of CLASH_BLOCK edges and its colours counted from one
+    flat (row, colour) presence mask.
     """
     arr = np.asarray(rows)
     if arr.ndim != 2 or arr.shape[1] != g.n:
@@ -104,10 +110,16 @@ def batch_costs(
     used: list[int] = []
     for start in range(0, arr.shape[0], per_chunk):
         t = arr[start : start + per_chunk].T.astype(dtype, order="C")
-        conflicts += np.count_nonzero(t[eu] == t[ev], axis=0).tolist()
-        present = np.zeros((top + 1, t.shape[1]), dtype=bool)
-        present[t, np.arange(t.shape[1])] = True
-        used += np.count_nonzero(present, axis=0).tolist()
+        width = t.shape[1]
+        same = t[eu] == t[ev]
+        clashes = np.zeros(width, dtype=np.int64)
+        for lo in range(0, eu.size, CLASH_BLOCK):
+            clashes += np.add.reduce(same[lo : lo + CLASH_BLOCK], axis=0, dtype=np.uint16)
+        conflicts += clashes.tolist()
+        # column j's colour c marks cell j * (top + 1) + c of one flat presence mask
+        present = np.zeros(width * (top + 1), dtype=bool)
+        present[np.add(t, np.arange(0, present.size, top + 1), dtype=np.intp)] = True
+        used += np.count_nonzero(present.reshape(width, top + 1), axis=1).tolist()
     return cost_from_counts(conflicts, used, params), conflicts, used
 
 

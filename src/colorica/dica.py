@@ -358,12 +358,14 @@ def unite_similar_empires(
     """
     if len(empires) < 2:
         return empires
-    totals = [empire_total_cost(e, xi) for e in empires]
     imps = np.array([e.imperialist for e in empires])
     rows, cols = np.triu_indices(len(empires), 1)
     # same float as normalized_distance: differing-cell count / n
     dists = np.count_nonzero(imps[rows] != imps[cols], axis=1) / imps.shape[1]
     close = np.flatnonzero(dists < threshold)
+    if close.size == 0:
+        return empires
+    totals = [empire_total_cost(e, xi) for e in empires]
     pairs = sorted(
         zip(dists[close].tolist(), rows[close].tolist(), cols[close].tolist())
     )

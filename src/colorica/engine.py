@@ -163,8 +163,9 @@ class BestSoFar:
             self.used = distinct_colours(row)
 
     def offer_cheapest(self, rows, costs) -> None:
-        """Offer the first cheapest of `rows`: what offering each in turn keeps."""
-        i = int(np.argmin(costs))
+        """Offer the first cheapest of `rows`, whose costs are the list `costs`:
+        what offering each in turn keeps."""
+        i = costs.index(min(costs))
         self.offer(rows[i], costs[i])
 
     def end_iteration(self, params: SearchParams) -> bool:

@@ -102,8 +102,9 @@ def mutate(col, k_max: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def breed(pool: np.ndarray, costs, elite, k_max: int, params: GaParams, rng) -> np.ndarray:
-    """The next generation of the (size, n) array `pool`, whose rows cost `costs`,
-    as a new (size, n) array: the rows `elite` first, then the children.
+    """The next generation of the (size, n) array `pool`, whose rows cost `costs`
+    (`run_ga` passes one float64 array), as a new (size, n) array: the rows
+    `elite` first, then the children.
 
     The children are the batched form of `roulette_select`, `crossover_2pt` and
     `mutate`: pairs of parents come off one spin of a roulette wheel over
@@ -145,45 +146,43 @@ def breed(pool: np.ndarray, costs, elite, k_max: int, params: GaParams, rng) -> 
 def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
     """Full generational loop; deterministic for a given (graph, params) pair.
 
-    The population is held as one (size, n) array, each generation built by one
-    `breed` call: its `elitism_count` cheapest rows (by `rank`) carried over
-    unchanged, then the children.  The initial population and each
-    generation's children are scored by one `batch_costs` call each, and the
-    first cheapest child is offered as the best.
+    A generation is one (size, n) array, built by one `breed` call (its
+    `elitism_count` cheapest rows by `rank`, carried over unchanged, then the
+    children), and one float64 array of its costs.  The initial population and
+    each generation's children are scored by one `batch_costs` call each, and
+    the first cheapest child is offered as the best at the exact cost, int or
+    float, that `batch_costs` gave it.
     """
     params.validate()
     rng = np.random.default_rng(params.rng_seed)
     k_max = resolve_k_max(g, params.k_max)
     cost_params = params.cost_params(g)
 
-    # `population` lists the rows of `pool`, each elite carried over as the same
-    # object and each child a new one
     population = init_population(g, params, rng)
     pool = np.array(population)
-    costs = batch_costs(g, pool, cost_params)[0]
-
-    best = BestSoFar(g, population, costs)
+    exact = batch_costs(g, pool, cost_params)[0]
+    best = BestSoFar(g, pool, exact)
+    costs = np.array(exact, dtype=float)
+    if _inspect is None:
+        # only `_inspect` sees the rows as a list (each elite carried over as
+        # the same object, each child a new one) and the costs as batch_costs
+        # typed them
+        population = exact = None
     kept = params.elitism_count
     elite = rank(costs)[:kept]
 
     for generation in range(params.generations):
-        # the carried rows are picked out first, so that the rest of the last
-        # population (on the first pass, the initial rows) is freed before the
-        # next generation is built
-        population = [population[i] for i in elite]
         pool = breed(pool, costs, elite, k_max, params, rng)
         child_costs = batch_costs(g, pool[kept:], cost_params)[0]
-        population += list(pool[kept:])
-        costs = [costs[i] for i in elite] + child_costs
-        elite = rank(costs)[:kept]
-        # the next elites are copied out of `pool`, so that no carried row holds
-        # a whole generation's array alive (`best` keeps its own copy)
-        for i in elite:
-            if i >= kept:
-                population[i] = population[i].copy()
-        best.offer_cheapest(population[kept:], child_costs)
+        costs = np.concatenate((costs[elite], child_costs))
+        best.offer_cheapest(pool[kept:], child_costs)
         if _inspect is not None:
-            _inspect("end", generation, population, costs)
+            # each child its own copy: a carried row that was a view would keep
+            # its whole generation's array alive
+            population = [population[j] for j in elite] + [row.copy() for row in pool[kept:]]
+            exact = [exact[j] for j in elite] + child_costs
+            _inspect("end", generation, population, exact)
+        elite = rank(costs)[:kept]
         if best.end_iteration(params):
             return best.result(TERMINATED_EARLY_STOP)
     return best.result(TERMINATED_DECADES)

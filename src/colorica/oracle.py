@@ -55,38 +55,41 @@ def _search(g: Graph, k: int, budget: int) -> tuple[bool, int]:
         tuple(pos_of[u] for u in g.adjacency[v] if pos_of[u] < i)
         for i, v in enumerate(order)
     ]
-    colours = [0] * g.n
+    # held[i] is position i's colour c as the bit 1 << c
+    held = [0] * g.n
     # an explicit stack in place of recursion, so that a long path cannot
     # exhaust the recursion limit.  Position i's state is its untried colours,
-    # the colours its earlier neighbours hold (a bit mask) and the highest
-    # colour used before it; the stack holds that state for positions 0..i-1
+    # as a bit mask (bit c for colour c, tried lowest first) without the colours
+    # its earlier neighbours hold, and the bit of the highest colour used before
+    # it (bit 0 before any); the stack holds that state for positions 0..i-1
+    palette = (2 << k) - 2 if k >= 1 else 0  # the bits of colours 1..k
     stack = []
-    i, banned, ceiling = 0, 0, 0
-    untried = iter(range(1, min(k, 1) + 1))
+    i, ceiling = 0, 1
+    untried = 0b10 & palette
     nodes = 0
     while True:
-        for c in untried:
-            if banned >> c & 1:
-                continue
+        if untried:
+            bit = untried & -untried
+            untried ^= bit
             nodes += 1
             if nodes > budget:
                 raise OracleLimitExceeded(f"node budget {budget} exhausted checking k={k}")
-            colours[i] = c
+            held[i] = bit
             if i + 1 == g.n:
                 return True, nodes
-            stack.append((untried, banned, ceiling))
+            stack.append((untried, ceiling))
             i += 1
+            if bit > ceiling:
+                ceiling = bit
             banned = 0
             for q in earlier[i]:
-                banned |= 1 << colours[q]
-            if c > ceiling:
-                ceiling = c
-            untried = iter(range(1, (ceiling + 1 if ceiling < k else k) + 1))
-            break
+                banned |= held[q]
+            # the colours up to one above the highest used, within 1..k
+            untried = ((ceiling << 2) - 2) & palette & ~banned
         else:
             if not stack:
                 return False, nodes
-            untried, banned, ceiling = stack.pop()
+            untried, ceiling = stack.pop()
             i -= 1
 
 

@@ -213,6 +213,19 @@ class TestBatchCosts:
         monkeypatch.setattr(coloring, "BATCH_CELLS", 3 * g.m)
         assert batch_costs(g, rows, params) == whole
 
+    @pytest.mark.parametrize("penalty", [400, 400.0])
+    def test_more_clashes_than_a_uint16_holds(self, penalty):
+        # 79,800 edges: one block of the clash count cannot hold them all
+        g = complete_graph(400)
+        rows = np.array([np.ones(400, dtype=np.int64), np.arange(1, 401), np.arange(400) % 2 + 1])
+        costs, conflicts, used = batch_costs(g, rows, CostParams(penalty))
+        assert conflicts == [79_800, 0, 2 * 19_900]
+        assert used == [1, 400, 2]
+        assert costs == [79_800 * penalty + 1, 400, 39_800 * penalty + 2]
+        assert [type(c) for c in costs] == [type(penalty), int, type(penalty)]
+        assert all(type(c) is int for c in conflicts + used)
+        assert conflicts == [count_conflicts(g, row) for row in rows]
+
     def test_no_rows_and_wrong_width(self):
         g = complete_graph(3)
         assert batch_costs(g, np.empty((0, 3), dtype=np.int64), CostParams(3.0)) == ([], [], [])

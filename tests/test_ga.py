@@ -469,3 +469,59 @@ class TestBreed:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+
+class TestInspectOnlyObserves:
+    """run_ga keeps the per-row list and the typed costs only for `_inspect`;
+    building them must not change the run."""
+
+    GRAPHS = {"k6": complete_graph(6), "myciel3": mycielski_graph(4), "queen4": queen_graph(4)}
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @pytest.mark.parametrize("elitism", [0, 1, 3, 11])
+    @pytest.mark.parametrize("seed", [1, 2, 31])
+    def test_same_result_with_and_without_inspect(self, graph, elitism, seed):
+        g = self.GRAPHS[graph]
+        params = GaParams(
+            population_size=12, generations=15, elitism_count=elitism, rng_seed=seed,
+            penalty=0.5 if seed == 2 else None,
+            early_stop_at_chromatic=seed == 31, known_chromatic=4 if seed == 31 else None,
+        )
+        calls = []
+        watched = run_ga(g, params, _inspect=lambda *args: calls.append(args[1]))
+        plain = run_ga(g, params)
+        assert watched == plain
+        assert type(watched.best_cost) is type(plain.best_cost)
+        assert calls == list(range(plain.decades_executed))
+
+    def test_inspected_rows_and_costs_are_the_generation(self):
+        g = mycielski_graph(4)
+        cp = CostParams.for_graph(g)
+        params = GaParams(population_size=16, generations=6, elitism_count=3, rng_seed=7)
+        seen = []
+
+        def watch(stage, generation, population, costs):
+            seen.append(min(costs))
+            assert len(population) == len(costs) == 16
+            assert [cost(g, row, cp) for row in population] == costs
+
+        result = run_ga(g, params, _inspect=watch)
+        # an elite carries the cheapest row over, so each generation holds the best so far
+        assert tuple(seen) == result.cost_history
+
+    def test_inspected_memory_does_not_grow_with_generations(self):
+        # as TestBreed's check, with the per-row list built for `_inspect`: a
+        # carried child that viewed its generation's array would keep that
+        # array (3.2 MB) alive for as long as the child stays an elite
+        g = Graph(2000, tuple((v, v + 1) for v in range(1, 2000)))
+        g.edge_index_arrays
+        peaks = []
+        for generations in (5, 40):
+            params = GaParams(population_size=200, generations=generations, elitism_count=199, k_max=3)
+            tracemalloc.start()
+            try:
+                run_ga(g, params, _inspect=lambda *args: None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]

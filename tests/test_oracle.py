@@ -173,3 +173,72 @@ class TestRefusal:
     def test_within_limits_still_answers(self):
         limit = OracleLimit(max_vertices=15, node_budget=10**7)
         assert chromatic_number_exact(complete_graph(15), limit) == 15
+
+
+def _iterator_search(g, k, budget):
+    """The search as it was written before the bit-mask form: each position
+    walks range(1, ceiling + 2) capped at k, skipping colours its earlier
+    neighbours hold."""
+    order = sorted(range(1, g.n + 1), key=lambda v: (-len(g.adjacency[v]), v))
+    pos_of = {v: i for i, v in enumerate(order)}
+    earlier = [
+        tuple(pos_of[u] for u in g.adjacency[v] if pos_of[u] < i)
+        for i, v in enumerate(order)
+    ]
+    colours = [0] * g.n
+    stack = []
+    i, banned, ceiling = 0, 0, 0
+    untried = iter(range(1, min(k, 1) + 1))
+    nodes = 0
+    while True:
+        for c in untried:
+            if banned >> c & 1:
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise OracleLimitExceeded(f"node budget {budget} exhausted checking k={k}")
+            colours[i] = c
+            if i + 1 == g.n:
+                return True, nodes
+            stack.append((untried, banned, ceiling))
+            i += 1
+            banned = 0
+            for q in earlier[i]:
+                banned |= 1 << colours[q]
+            if c > ceiling:
+                ceiling = c
+            untried = iter(range(1, (ceiling + 1 if ceiling < k else k) + 1))
+            break
+        else:
+            if not stack:
+                return False, nodes
+            untried, banned, ceiling = stack.pop()
+            i -= 1
+
+
+class TestBitMaskSearch:
+    def test_same_answer_and_nodes_as_the_iterator_search(self):
+        rng = np.random.default_rng(53)
+        outcomes = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 13))
+            g = _random_graph(rng, n, p=float(rng.random()))
+            for k in range(1, 6):
+                want = _iterator_search(g, k, 10**8)
+                assert oracle._search(g, k, 10**8) == want
+                outcomes.add(want[0])
+        assert outcomes == {True, False}
+
+    def test_same_budget_refusal_as_the_iterator_search(self):
+        rng = np.random.default_rng(59)
+        for _ in range(40):
+            g = _random_graph(rng, 12, p=0.5)
+            k = int(rng.integers(2, 5))
+            _, nodes = _iterator_search(g, k, 10**8)
+            if nodes < 2:
+                continue
+            with pytest.raises(OracleLimitExceeded) as want:
+                _iterator_search(g, k, nodes - 1)
+            with pytest.raises(OracleLimitExceeded) as got:
+                oracle._search(g, k, nodes - 1)
+            assert str(got.value) == str(want.value)
