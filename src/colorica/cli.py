@@ -7,6 +7,7 @@ colouring still has conflicts, 3 exact-search refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 import typing
@@ -178,6 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser depends on nothing that varies between calls, so `main` builds it
+# once per process; argparse reads it without changing it
+_parser = functools.cache(build_parser)
+
+
 def _warn_vestigial(ns: argparse.Namespace) -> None:
     if ns.assimilation_coefficient is not None:
         logger.warning("--assimilation-coefficient is accepted for compatibility and has no effect")
@@ -285,9 +291,8 @@ def _cmd_oracle(ns: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s: %(message)s")
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

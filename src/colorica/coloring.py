@@ -69,33 +69,61 @@ def distinct_colours(col: Sequence[int]) -> int:
 
 def cost(g: Graph, col: Sequence[int], params: CostParams):
     """Penalised cost: distinct colours if proper, else conflicts * penalty + distinct."""
-    return cost_from_counts([count_conflicts(g, col)], [distinct_colours(col)], params)[0]
+    return exact_cost(count_conflicts(g, col), distinct_colours(col), params)
 
 
-def cost_from_counts(conflicts: list[int], used: list[int], params: CostParams) -> list:
-    """The penalised cost of each colouring with the given clash and colour counts."""
-    penalty = params.penalty
-    return [u if c == 0 else c * penalty + u for c, u in zip(conflicts, used)]
+def exact_cost(conflicts: int, used: int, params: CostParams):
+    """The cost of a colouring with these counts: `used`, an int, if it is proper,
+    else conflicts * penalty + used."""
+    return used if conflicts == 0 else conflicts * params.penalty + used
 
 
-def batch_costs(
-    g: Graph, rows: np.ndarray, params: CostParams
-) -> tuple[list, list[int], list[int]]:
-    """Cost, clash count and colour count of each row of a (count, n) colouring array.
+def cost_array(conflicts: np.ndarray, used: np.ndarray, params: CostParams) -> np.ndarray:
+    """The costs of count arrays as float64, each equal to its `exact_cost`."""
+    return conflicts * float(params.penalty) + used
 
-    Row i gets exactly what cost(g, rows[i], params), count_conflicts and
-    distinct_colours give it, int or float alike.  Rows are transposed to
-    (n, count) in the smallest unsigned dtype that holds the largest colour,
-    so each edge compares two contiguous rows, and are taken in chunks of
-    about BATCH_CELLS cells, in row order.  A chunk's clashes are summed in
-    uint16 over blocks of CLASH_BLOCK edges and its colours counted from one
-    flat (row, colour) presence mask.
+
+def exact_costs(conflicts: np.ndarray, used: np.ndarray, params: CostParams) -> list:
+    """The list of each row's `exact_cost`, int or float alike, from count arrays."""
+    return [exact_cost(c, u, params) for c, u in zip(conflicts.tolist(), used.tolist())]
+
+
+def _swar_popcount(words: np.ndarray) -> np.ndarray:
+    """The set bits of each uint64 word, by the usual shift-and-mask sums.  The
+    constants are np.uint64: numpy 1.x turns uint64 with a Python int into float64."""
+    m1, m2, m4, h01 = (np.uint64(x) for x in (0x5555555555555555, 0x3333333333333333,
+                                                  0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
+    one, two, four, top = (np.uint64(x) for x in (1, 2, 4, 56))
+    words = words - ((words >> one) & m1)
+    words = (words & m2) + ((words >> two) & m2)
+    words = (words + (words >> four)) & m4
+    return (words * h01) >> top
+
+
+# numpy 2.0 counts bits in one call; numpy 1.x takes the SWAR sums
+_popcount = getattr(np, "bitwise_count", _swar_popcount)
+
+
+def batch_counts(g: Graph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clash count and colour count of each row of a (count, n) colouring array,
+    as two int64 arrays: what count_conflicts and distinct_colours give each row.
+
+    Rows are transposed to (n, count) in the smallest unsigned dtype that holds
+    the largest colour, so each edge compares two contiguous rows, and are taken
+    in chunks of about BATCH_CELLS cells, in row order.  A chunk's clashes are
+    summed in uint16 over blocks of CLASH_BLOCK edges.  When every colour is
+    below 64, a row's colours are the set bits of one uint64 word, the OR of
+    1 << colour over its cells; otherwise they are counted from one flat
+    (row, colour) presence mask.
     """
     arr = np.asarray(rows)
     if arr.ndim != 2 or arr.shape[1] != g.n:
         raise ValueError(f"colourings of shape {arr.shape} do not match n={g.n}")
-    if arr.shape[0] == 0:
-        return [], [], []
+    count = arr.shape[0]
+    conflicts = np.zeros(count, dtype=np.int64)
+    used = np.zeros(count, dtype=np.int64)
+    if count == 0:
+        return conflicts, used
     top = int(arr.max())
     if int(arr.min()) < 0 or top >= arr.size:
         # colour values sparser than the cells: number them densely, which keeps
@@ -106,21 +134,33 @@ def batch_costs(
     dtype = np.min_scalar_type(top)
     eu, ev = g.edge_index_arrays
     per_chunk = max(1, BATCH_CELLS // max(eu.size, g.n, top + 1))
-    conflicts: list[int] = []
-    used: list[int] = []
-    for start in range(0, arr.shape[0], per_chunk):
+    for start in range(0, count, per_chunk):
         t = arr[start : start + per_chunk].T.astype(dtype, order="C")
         width = t.shape[1]
+        out = slice(start, start + width)
         same = t[eu] == t[ev]
-        clashes = np.zeros(width, dtype=np.int64)
         for lo in range(0, eu.size, CLASH_BLOCK):
-            clashes += np.add.reduce(same[lo : lo + CLASH_BLOCK], axis=0, dtype=np.uint16)
-        conflicts += clashes.tolist()
-        # column j's colour c marks cell j * (top + 1) + c of one flat presence mask
-        present = np.zeros(width * (top + 1), dtype=bool)
-        present[np.add(t, np.arange(0, present.size, top + 1), dtype=np.intp)] = True
-        used += np.count_nonzero(present.reshape(width, top + 1), axis=1).tolist()
-    return cost_from_counts(conflicts, used, params), conflicts, used
+            conflicts[out] += np.add.reduce(same[lo : lo + CLASH_BLOCK], axis=0, dtype=np.uint16)
+        if top < 64:
+            words = np.left_shift(np.uint64(1), t, dtype=np.uint64)
+            used[out] = _popcount(np.bitwise_or.reduce(words, axis=0))
+        else:
+            # column j's colour c marks cell j * (top + 1) + c of one flat presence mask
+            present = np.zeros(width * (top + 1), dtype=bool)
+            present[np.add(t, np.arange(0, present.size, top + 1), dtype=np.intp)] = True
+            used[out] = np.count_nonzero(present.reshape(width, top + 1), axis=1)
+    return conflicts, used
+
+
+def batch_costs(
+    g: Graph, rows: np.ndarray, params: CostParams
+) -> tuple[list, list[int], list[int]]:
+    """Cost, clash count and colour count of each row of a (count, n) colouring
+    array, as lists: row i gets exactly what cost(g, rows[i], params),
+    count_conflicts and distinct_colours give it, int or float alike.  The
+    counts come from one `batch_counts` call."""
+    conflicts, used = batch_counts(g, rows)
+    return exact_costs(conflicts, used, params), conflicts.tolist(), used.tolist()
 
 
 def is_valid(g: Graph, col: Sequence[int]) -> bool:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coloring import BATCH_CELLS, CostParams, batch_costs, cost_from_counts
+from .coloring import BATCH_CELLS, CostParams, batch_counts, cost_array, exact_costs
 
 # `cost` is no longer called here but stays importable as colorica.dica.cost,
 # a name the benchmark's probe and its tests look up
@@ -300,11 +300,11 @@ def descend(
         gain = near_um.view(np.int8) - near_v[move].view(np.int8)
         by_colour[r, am] += gain
         by_colour[r, bm] -= gain
-    clashes = (table[coloured + vertex].sum(axis=1) // 2).tolist()
+    clashes = table[coloured + vertex].sum(axis=1) // 2
     present = np.zeros((count, width), dtype=bool)
     present[rows[:, None], out] = True
-    used = np.count_nonzero(present, axis=1).tolist()
-    return out, cost_from_counts(clashes, used, cost_params)
+    used = np.count_nonzero(present, axis=1)
+    return out, exact_costs(clashes, used, cost_params)
 
 
 def exchange_if_better(empire: Empire) -> bool:
@@ -416,8 +416,9 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     """Full search loop; deterministic for a given (graph, params) pair.
 
     Every decade all colonies, stacked in empire order, take one `colony_step`
-    and are scored together by `batch_costs`; the results go back into each
-    Empire before its exchange.  Once every empire has made its exchange, and
+    and are counted together by `batch_counts`; their float64 costs go back
+    into each Empire before its exchange, and the first cheapest is offered as
+    the best with its counts.  Once every empire has made its exchange, and
     before the `post_exchange` inspection, all imperialists get
     IMPERIALIST_DESCENT_STEPS steps of `descend` together, drawn from the
     run's own RNG; each imperialist's cached cost and the best-so-far follow.
@@ -427,12 +428,13 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     cost_params = params.cost_params(g)
 
     population = init_population(g, params, rng)
-    costs = batch_costs(g, np.array(population), cost_params)[0]
+    counts = batch_counts(g, np.array(population))
+    costs = cost_array(*counts, cost_params)
 
     n_imp = max(1, round(params.imperialist_fraction * params.population_size))
-    empires = form_empires(population, costs, n_imp, rng)
+    empires = form_empires(population, costs.tolist(), n_imp, rng)
 
-    best = BestSoFar(g, population, costs)
+    best = BestSoFar(g, population, costs, counts, cost_params)
     revolution_rate = params.revolution_rate
 
     for decade in range(params.decades):
@@ -444,8 +446,10 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
             revolution_rate,
             rng,
         )
-        costs = batch_costs(g, children, cost_params)[0]
-        best.offer_cheapest(children, costs)
+        counts = batch_counts(g, children)
+        costs = cost_array(*counts, cost_params)
+        best.offer_cheapest(children, costs, counts)
+        costs = costs.tolist()
         rows = list(children)
         start = 0
         for empire, size in zip(empires, sizes):

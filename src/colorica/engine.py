@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import CostParams, count_conflicts, distinct_colours
+from .coloring import CostParams, count_conflicts, distinct_colours, exact_cost
 from .graphs import MAX_VERTICES, Graph, max_degree
 
 TERMINATED_DECADES = "decades_exhausted"
@@ -146,27 +146,42 @@ def spin(wheel: tuple[np.ndarray, float], r):
 
 class BestSoFar:
     """The cheapest colouring a run has seen (first cheapest initial row on), as
-    its own copy, and the per-iteration best costs.  Its clash and colour counts are taken when
-    the best improves, never through `cost`, whose calls are the evaluations."""
+    its own copy, and the per-iteration best costs.  Its clash and colour counts
+    are taken when the best improves, from the counts offered with the rows or
+    else recounted, never through `cost`, whose calls are the evaluations.
+    Counted offers need the run's `cost_params`, from which the kept row's
+    exact cost is taken."""
 
-    def __init__(self, g: Graph, population, costs) -> None:
+    def __init__(self, g: Graph, population, costs, counts=None, cost_params=None) -> None:
         self.g = g
+        self.cost_params = cost_params
         self.history: list[float] = []
         self.cost = float("inf")
-        self.offer_cheapest(population, costs)
+        self.offer_cheapest(population, costs, counts)
 
-    def offer(self, row: np.ndarray, cost) -> None:
-        """Keep a copy of `row` if it is strictly cheaper than the best so far."""
+    def offer(self, row: np.ndarray, cost, counts=None) -> None:
+        """Keep a copy of `row` if it is strictly cheaper than the best so far;
+        with its (conflicts, used) counts, its exact cost is taken from them."""
         if cost < self.cost:
-            self.row, self.cost = np.array(row), cost
-            self.conflicts = count_conflicts(self.g, row)
-            self.used = distinct_colours(row)
+            self.row = np.array(row)
+            if counts is None:
+                self.cost = cost
+                self.conflicts = count_conflicts(self.g, row)
+                self.used = distinct_colours(row)
+            else:
+                self.conflicts, self.used = counts
+                self.cost = exact_cost(self.conflicts, self.used, self.cost_params)
 
-    def offer_cheapest(self, rows, costs) -> None:
-        """Offer the first cheapest of `rows`, whose costs are the list `costs`:
-        what offering each in turn keeps."""
-        i = costs.index(min(costs))
-        self.offer(rows[i], costs[i])
+    def offer_cheapest(self, rows, costs, counts=None) -> None:
+        """Offer the first cheapest of `rows`: what offering each in turn keeps.
+        `costs` is a list of exact costs, or with `counts`, the (conflicts, used)
+        int64 arrays of `coloring.batch_counts`, their `cost_array`."""
+        if counts is None:
+            i = costs.index(min(costs))
+            self.offer(rows[i], costs[i])
+        else:
+            i = int(np.argmin(costs))
+            self.offer(rows[i], costs[i], (int(counts[0][i]), int(counts[1][i])))
 
     def end_iteration(self, params: SearchParams) -> bool:
         """Log the best cost of a finished iteration; True if the run asked to stop

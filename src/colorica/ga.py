@@ -4,7 +4,7 @@ Generational loop with roulette parent selection, two-point crossover,
 single-position mutation and a small elite carried over unchanged.  A
 generation's children are drawn, built and scored as one array: one spin of
 one roulette wheel picks every parent pair, each other random choice is one
-call, and one `batch_costs` call scores them all.
+call, and one `batch_counts` call scores them all.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 # `cost` is not called here but stays importable as colorica.ga.cost, a name
 # the benchmark's probe and its tests look up
-from .coloring import BATCH_CELLS, batch_costs, cost  # noqa: F401
+from .coloring import BATCH_CELLS, batch_counts, cost, cost_array, exact_costs  # noqa: F401
 from .engine import (
     TERMINATED_DECADES,
     TERMINATED_EARLY_STOP,
@@ -149,9 +149,9 @@ def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
     A generation is one (size, n) array, built by one `breed` call (its
     `elitism_count` cheapest rows by `rank`, carried over unchanged, then the
     children), and one float64 array of its costs.  The initial population and
-    each generation's children are scored by one `batch_costs` call each, and
-    the first cheapest child is offered as the best at the exact cost, int or
-    float, that `batch_costs` gave it.
+    each generation's children are counted by one `batch_counts` call each, and
+    the first cheapest child is offered as the best with its counts, from which
+    `BestSoFar` takes its exact cost, int or float.
     """
     params.validate()
     rng = np.random.default_rng(params.rng_seed)
@@ -160,27 +160,30 @@ def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
 
     population = init_population(g, params, rng)
     pool = np.array(population)
-    exact = batch_costs(g, pool, cost_params)[0]
-    best = BestSoFar(g, pool, exact)
-    costs = np.array(exact, dtype=float)
+    counts = batch_counts(g, pool)
+    costs = cost_array(*counts, cost_params)
+    best = BestSoFar(g, pool, costs, counts, cost_params)
     if _inspect is None:
+        population = None
+    else:
         # only `_inspect` sees the rows as a list (each elite carried over as
-        # the same object, each child a new one) and the costs as batch_costs
-        # typed them
-        population = exact = None
+        # the same object, each child a new one) and the costs typed as `cost`
+        # types them
+        exact = exact_costs(*counts, cost_params)
     kept = params.elitism_count
     elite = rank(costs)[:kept]
 
     for generation in range(params.generations):
         pool = breed(pool, costs, elite, k_max, params, rng)
-        child_costs = batch_costs(g, pool[kept:], cost_params)[0]
+        counts = batch_counts(g, pool[kept:])
+        child_costs = cost_array(*counts, cost_params)
         costs = np.concatenate((costs[elite], child_costs))
-        best.offer_cheapest(pool[kept:], child_costs)
+        best.offer_cheapest(pool[kept:], child_costs, counts)
         if _inspect is not None:
             # each child its own copy: a carried row that was a view would keep
             # its whole generation's array alive
             population = [population[j] for j in elite] + [row.copy() for row in pool[kept:]]
-            exact = [exact[j] for j in elite] + child_costs
+            exact = [exact[j] for j in elite] + exact_costs(*counts, cost_params)
             _inspect("end", generation, population, exact)
         elite = rank(costs)[:kept]
         if best.end_iteration(params):

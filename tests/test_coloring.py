@@ -7,6 +7,7 @@ from colorica import coloring
 from colorica.coloring import (
     CostParams,
     batch_costs,
+    batch_counts,
     cost,
     count_conflicts,
     distinct_colours,
@@ -233,6 +234,74 @@ class TestBatchCosts:
             batch_costs(g, np.ones((2, 4), dtype=np.int64), CostParams(3.0))
         with pytest.raises(ValueError):
             batch_costs(g, np.ones(3, dtype=np.int64), CostParams(3.0))
+
+
+def _assert_counts_match(g, rows):
+    """batch_counts agrees with count_conflicts and distinct_colours on every row."""
+    conflicts, used = batch_counts(g, rows)
+    assert conflicts.dtype == used.dtype == np.int64
+    assert conflicts.shape == used.shape == (len(rows),)
+    assert conflicts.tolist() == [count_conflicts(g, row) for row in rows]
+    assert used.tolist() == [distinct_colours(row) for row in rows]
+    return conflicts, used
+
+
+class TestBatchCounts:
+    @pytest.fixture(params=["popcount", "swar"])
+    def popcount(self, request, monkeypatch):
+        # numpy 1.x has no bitwise_count, so its word count is the SWAR one
+        if request.param == "swar":
+            monkeypatch.setattr(coloring, "_popcount", coloring._swar_popcount)
+
+    @pytest.mark.parametrize("palette", [1, 63, 64, 65])
+    @pytest.mark.parametrize("lowest", [0, 1])
+    def test_palettes_either_side_of_one_word(self, palette, lowest, popcount):
+        # colours lowest..lowest + palette - 1: a largest colour of 63 is the
+        # last a uint64 word marks, 64 and above take the presence mask
+        rng = np.random.default_rng(palette + 100 * lowest)
+        g = _random_graph(rng, 70, p=0.15)
+        rows = rng.integers(lowest, lowest + palette, size=(40, 70))
+        rows[0] = np.arange(70) % palette + lowest
+        rows[1] = lowest + palette - 1
+        conflicts, used = _assert_counts_match(g, rows)
+        assert used[0] == palette and used[1] == 1 and conflicts[1] == g.m
+
+    def test_sparse_and_non_positive_colour_values(self, popcount):
+        rng = np.random.default_rng(43)
+        g = _random_graph(rng, 30, p=0.3)
+        # few distinct values (a word after renumbering), then many (the mask)
+        few = rng.choice([-(10**12), -3, 0, 7, 65537, 10**12], size=(25, 30))
+        many = rng.integers(-(10**9), 10**9, size=(25, 30))
+        for rows in (few, many, np.concatenate((few, many))):
+            _assert_counts_match(g, rows)
+
+    @pytest.mark.parametrize("palette", [6, 100])
+    def test_tiny_chunk_cap_splits_rows_in_order(self, palette, popcount, monkeypatch):
+        rng = np.random.default_rng(palette)
+        g = _random_graph(rng, 120, p=0.05)
+        rows = rng.integers(1, palette + 1, size=(30, 120))
+        whole = batch_counts(g, rows)
+        # a cap below one row's cells puts every row in its own chunk
+        monkeypatch.setattr(coloring, "BATCH_CELLS", 1)
+        split = _assert_counts_match(g, rows)
+        assert all(np.array_equal(a, b) for a, b in zip(split, whole))
+
+    def test_swar_popcount(self):
+        words = np.array(
+            [0, 1, 2**63, 2**64 - 1, 0x5555555555555555, 0xF0F0F0F0F0F0F0F0, 2**62 + 3],
+            dtype=np.uint64,
+        )
+        words = np.concatenate((words, np.random.default_rng(3).integers(0, 2**64, 200, dtype=np.uint64)))
+        want = [bin(w).count("1") for w in words.tolist()]
+        assert coloring._swar_popcount(words).tolist() == want
+        assert np.asarray(coloring._popcount(words)).tolist() == want
+
+    def test_no_rows_and_wrong_width(self):
+        g = complete_graph(3)
+        conflicts, used = batch_counts(g, np.empty((0, 3), dtype=np.int64))
+        assert conflicts.shape == used.shape == (0,) and conflicts.dtype == used.dtype == np.int64
+        with pytest.raises(ValueError):
+            batch_counts(g, np.ones((2, 4), dtype=np.int64))
 
 
 class TestValidityAndFormat:

@@ -27,7 +27,7 @@ from colorica.dica import (
     run_dica,
     unite_similar_empires,
 )
-from colorica.graphs import MAX_VERTICES, Graph, complete_graph, mycielski_graph
+from colorica.graphs import MAX_VERTICES, Graph, complete_graph, mycielski_graph, queen_graph
 
 
 def _empire(imp_cost, colony_costs, n=4, seed=0):
@@ -695,3 +695,26 @@ class TestRunDica:
     def test_invalid_params(self, bad):
         with pytest.raises(ValueError):
             DicaParams(**bad).validate()
+
+
+class TestInspectOnlyObserves:
+    """`_inspect` only sees the empires: watching a run must not change it."""
+
+    GRAPHS = {"k6": complete_graph(6), "myciel3": mycielski_graph(4), "queen4": queen_graph(4)}
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @pytest.mark.parametrize("seed", [1, 2, 31])
+    def test_same_result_with_and_without_inspect(self, graph, seed):
+        g = self.GRAPHS[graph]
+        params = DicaParams(
+            population_size=20, decades=15, rng_seed=seed,
+            penalty=0.5 if seed == 2 else None,
+            early_stop_at_chromatic=seed == 31, known_chromatic=4 if seed == 31 else None,
+        )
+        calls = []
+        watched = run_dica(g, params, _inspect=lambda stage, decade, empires: calls.append((stage, decade)))
+        plain = run_dica(g, params)
+        assert watched == plain
+        assert type(watched.best_cost) is type(plain.best_cost)
+        stages = [(stage, d) for d in range(plain.decades_executed) for stage in ("post_exchange", "end")]
+        assert calls == stages

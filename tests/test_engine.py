@@ -4,6 +4,7 @@ wheel, the segment copy, the penalty bound, the seed and the population bound.""
 import numpy as np
 import pytest
 
+from colorica.coloring import CostParams, batch_counts, cost, cost_array, count_conflicts
 from colorica.engine import (
     MAX_POPULATION_CELLS,
     BestSoFar,
@@ -118,11 +119,24 @@ class TestRank:
         assert all(type(i) is int for i in rank([2.0, 1]))
 
 
+def _counted_rows(gen, g, proper, count, params):
+    """Rows, some proper, with their `batch_counts`, their `cost_array` and the
+    exact costs `cost` gives them."""
+    rows = gen.integers(1, 5, size=(count, g.n))
+    shifted = gen.random(count) < 0.4
+    # a proper colouring with every colour moved up stays proper
+    rows[shifted] = proper + gen.integers(0, 3, size=(int(shifted.sum()), 1))
+    counts = batch_counts(g, rows)
+    return rows, counts, cost_array(*counts, params), [cost(g, row, params) for row in rows]
+
+
 class TestOfferCheapest:
     def test_matches_offering_each_in_turn(self):
         g = mycielski_graph(4)
+        proper = np.array([1, 2, 1, 2, 3, 1, 2, 1, 2, 3, 4])
+        assert count_conflicts(g, proper) == 0
         gen = np.random.default_rng(13)
-        for _ in range(300):
+        for trial in range(300):
             count = int(gen.integers(1, 12))
             first = list(gen.integers(1, 5, size=(count, g.n)))
             later = list(gen.integers(1, 5, size=(count, g.n)))
@@ -135,6 +149,24 @@ class TestOfferCheapest:
             assert (one.cost, type(one.cost), one.conflicts, one.used) == (
                 each.cost, type(each.cost), each.conflicts, each.used
             )
+
+            # counted offers: float64 costs with their counts, against the exact
+            # costs offered one by one; a penalty of 0.5 ties clashing rows with
+            # proper ones, and an int penalty keeps clashing costs int
+            params = CostParams((0.5, float(g.n), 2)[trial % 3])
+            first, first_counts, first_costs, first_exact = _counted_rows(gen, g, proper, count, params)
+            later, later_counts, later_costs, later_exact = _counted_rows(gen, g, proper, count, params)
+            one = BestSoFar(g, first, first_costs, first_counts, params)
+            each = BestSoFar(g, list(first), first_exact)
+            one.offer_cheapest(later, later_costs, later_counts)
+            for row, c in zip(later, later_exact):
+                each.offer(row, c)
+            assert np.array_equal(one.row, each.row)
+            assert (one.cost, type(one.cost), one.conflicts, one.used) == (
+                each.cost, type(each.cost), each.conflicts, each.used
+            )
+            if type(params.penalty) is float:
+                assert (type(one.cost) is int) == (one.conflicts == 0)
 
     def test_first_of_equal_minima(self):
         g = complete_graph(3)
