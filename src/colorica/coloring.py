@@ -17,13 +17,17 @@ import numpy as np
 
 from .graphs import Graph
 
-# the memory budget of a batched array pass, in array cells: batch_costs caps
-# its rows per chunk so that the gathered (edge, row) colour pairs and the
-# (row, colour) presence mask stay near it, and dica.descend does the same for
-# its neighbour-colour table
+# the memory budget of a batched array pass, in array cells: batch_counts caps
+# its rows per chunk so that the gathered (edge, row) colour pairs, the
+# (vertex, row) uint64 colour words and the (row, colour) presence mask each
+# stay near it, and dica.descend does the same for its neighbour-colour table.
+# The words are 8 bytes a cell, up to 16 MB a chunk at the 16384-vertex bound;
+# a ga run there peaks at the same RSS as with a 1-byte mask in their place,
+# since its two population arrays set the peak, while words taken in smaller
+# blocks raised that peak
 BATCH_CELLS = 1 << 21
 
-# batch_costs sums an (edge, row) clash mask in uint16 over blocks of at most
+# batch_counts sums an (edge, row) clash mask in uint16 over blocks of at most
 # this many edges, so that no count wraps and no wider copy of the mask is made
 CLASH_BLOCK = (1 << 16) - 1
 
@@ -150,17 +154,6 @@ def batch_counts(g: Graph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             present[np.add(t, np.arange(0, present.size, top + 1), dtype=np.intp)] = True
             used[out] = np.count_nonzero(present.reshape(width, top + 1), axis=1)
     return conflicts, used
-
-
-def batch_costs(
-    g: Graph, rows: np.ndarray, params: CostParams
-) -> tuple[list, list[int], list[int]]:
-    """Cost, clash count and colour count of each row of a (count, n) colouring
-    array, as lists: row i gets exactly what cost(g, rows[i], params),
-    count_conflicts and distinct_colours give it, int or float alike.  The
-    counts come from one `batch_counts` call."""
-    conflicts, used = batch_counts(g, rows)
-    return exact_costs(conflicts, used, params), conflicts.tolist(), used.tolist()
 
 
 def is_valid(g: Graph, col: Sequence[int]) -> bool:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coloring import BATCH_CELLS, CostParams, batch_counts, cost_array, exact_costs
+from .coloring import BATCH_CELLS, batch_counts, cost_array
 
 # `cost` is no longer called here but stays importable as colorica.dica.cost,
 # a name the benchmark's probe and its tests look up
@@ -227,12 +227,8 @@ def colony_step(
 
 
 def descend(
-    g: Graph,
-    cols: np.ndarray,
-    steps: int,
-    cost_params: CostParams,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, list[float]]:
+    g: Graph, cols: np.ndarray, steps: int, rng: np.random.Generator
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Clash-directed swap descent on each row of a (count, n) array of colourings.
 
     Each step, in every row that still clashes, draws a clashing vertex v,
@@ -243,7 +239,8 @@ def descend(
     as 0/1 rows unpacked from `Graph.packed_adjacency`.  Swaps keep each row's
     colour multiset, so a proper colouring comes back unchanged and no cost
     rises.  Rows are taken in batches small enough to bound that table's
-    memory, in row order.  Returns new colourings and their costs, the costs
+    memory, in row order.  Returns new colourings and their (conflicts, used)
+    integer count arrays, as `coloring.batch_counts` gives them, the clashes
     counted from the same table; the input is left untouched.
     """
     out = np.array(cols)
@@ -252,11 +249,9 @@ def descend(
     eu, ev = g.edge_index_arrays
     per_batch = max(1, _DESCENT_BATCH_CELLS // max(width * n, 2 * eu.size))
     if count > per_batch:
-        parts = [
-            descend(g, out[i : i + per_batch], steps, cost_params, rng)
-            for i in range(0, count, per_batch)
-        ]
-        return np.concatenate([p[0] for p in parts]), [c for p in parts for c in p[1]]
+        parts = [descend(g, out[i : i + per_batch], steps, rng) for i in range(0, count, per_batch)]
+        rows, counts = zip(*parts)
+        return np.concatenate(rows), tuple(np.concatenate(c) for c in zip(*counts))
     packed = g.packed_adjacency
     rows = np.arange(count)
     vertex = np.arange(n)
@@ -303,8 +298,7 @@ def descend(
     clashes = table[coloured + vertex].sum(axis=1) // 2
     present = np.zeros((count, width), dtype=bool)
     present[rows[:, None], out] = True
-    used = np.count_nonzero(present, axis=1)
-    return out, exact_costs(clashes, used, cost_params)
+    return out, (clashes, np.count_nonzero(present, axis=1))
 
 
 def exchange_if_better(empire: Empire) -> bool:
@@ -421,7 +415,8 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     the best with its counts.  Once every empire has made its exchange, and
     before the `post_exchange` inspection, all imperialists get
     IMPERIALIST_DESCENT_STEPS steps of `descend` together, drawn from the
-    run's own RNG; each imperialist's cached cost and the best-so-far follow.
+    run's own RNG; each imperialist's cached cost becomes the float64 cost of
+    the counts `descend` returns, and they are offered as the best with them.
     """
     params.validate()
     rng = np.random.default_rng(params.rng_seed)
@@ -434,7 +429,8 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     n_imp = max(1, round(params.imperialist_fraction * params.population_size))
     empires = form_empires(population, costs.tolist(), n_imp, rng)
 
-    best = BestSoFar(g, population, costs, counts, cost_params)
+    best = BestSoFar(cost_params)
+    best.offer_cheapest(population, costs, counts)
     revolution_rate = params.revolution_rate
 
     for decade in range(params.decades):
@@ -457,16 +453,13 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
             empire.colony_costs[:] = costs[start : start + size]
             start += size
             exchange_if_better(empire)
-        imperialists, imperialist_costs = descend(
-            g,
-            np.array([e.imperialist for e in empires]),
-            IMPERIALIST_DESCENT_STEPS,
-            cost_params,
-            rng,
+        imperialists, counts = descend(
+            g, np.array([e.imperialist for e in empires]), IMPERIALIST_DESCENT_STEPS, rng
         )
-        for empire, imp, imp_cost in zip(empires, imperialists, imperialist_costs):
+        costs = cost_array(*counts, cost_params)
+        for empire, imp, imp_cost in zip(empires, imperialists, costs.tolist()):
             empire.imperialist, empire.imperialist_cost = imp, imp_cost
-        best.offer_cheapest(imperialists, imperialist_costs)
+        best.offer_cheapest(imperialists, costs, counts)
         if _inspect is not None:
             _inspect("post_exchange", decade, empires)
         empires = unite_similar_empires(empires, params.uniting_threshold, params.xi)

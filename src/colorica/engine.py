@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import CostParams, count_conflicts, distinct_colours, exact_cost
+from .coloring import CostParams, exact_cost
 from .graphs import MAX_VERTICES, Graph, max_degree
 
 TERMINATED_DECADES = "decades_exhausted"
@@ -24,7 +24,7 @@ TERMINATED_EARLY_STOP = "early_stop"
 # 16384-vertex input bound.  ga holds two such arrays at once, its population
 # and the next generation's, which it fills from the first and then crosses
 # over in row chunks of coloring.BATCH_CELLS cells; a ga run at the bound
-# peaks near 235 MB
+# (population 512 on a 16384-vertex path, 10 generations) peaks near 220 MB
 MAX_POPULATION_CELLS = 1 << 23
 
 
@@ -145,43 +145,30 @@ def spin(wheel: tuple[np.ndarray, float], r):
 
 
 class BestSoFar:
-    """The cheapest colouring a run has seen (first cheapest initial row on), as
-    its own copy, and the per-iteration best costs.  Its clash and colour counts
-    are taken when the best improves, from the counts offered with the rows or
-    else recounted, never through `cost`, whose calls are the evaluations.
-    Counted offers need the run's `cost_params`, from which the kept row's
-    exact cost is taken."""
+    """The cheapest colouring a run has been offered, as its own copy, with its
+    exact cost and counts, and the per-iteration best costs.  Rows come with
+    their (conflicts, used) counts; the kept row's exact cost, an int when it is
+    proper, is taken from its counts and `cost_params`, never through `cost`,
+    whose calls are the evaluations."""
 
-    def __init__(self, g: Graph, population, costs, counts=None, cost_params=None) -> None:
-        self.g = g
+    def __init__(self, cost_params: CostParams) -> None:
         self.cost_params = cost_params
         self.history: list[float] = []
         self.cost = float("inf")
-        self.offer_cheapest(population, costs, counts)
 
-    def offer(self, row: np.ndarray, cost, counts=None) -> None:
-        """Keep a copy of `row` if it is strictly cheaper than the best so far;
-        with its (conflicts, used) counts, its exact cost is taken from them."""
+    def offer(self, row: np.ndarray, cost, counts: tuple[int, int]) -> None:
+        """Keep a copy of `row` if its cost is strictly below the best so far's."""
         if cost < self.cost:
             self.row = np.array(row)
-            if counts is None:
-                self.cost = cost
-                self.conflicts = count_conflicts(self.g, row)
-                self.used = distinct_colours(row)
-            else:
-                self.conflicts, self.used = counts
-                self.cost = exact_cost(self.conflicts, self.used, self.cost_params)
+            self.conflicts, self.used = counts
+            self.cost = exact_cost(self.conflicts, self.used, self.cost_params)
 
-    def offer_cheapest(self, rows, costs, counts=None) -> None:
+    def offer_cheapest(self, rows, costs: np.ndarray, counts) -> None:
         """Offer the first cheapest of `rows`: what offering each in turn keeps.
-        `costs` is a list of exact costs, or with `counts`, the (conflicts, used)
-        int64 arrays of `coloring.batch_counts`, their `cost_array`."""
-        if counts is None:
-            i = costs.index(min(costs))
-            self.offer(rows[i], costs[i])
-        else:
-            i = int(np.argmin(costs))
-            self.offer(rows[i], costs[i], (int(counts[0][i]), int(counts[1][i])))
+        `counts` are the (conflicts, used) int64 arrays of
+        `coloring.batch_counts` and `costs` their `cost_array`."""
+        i = int(np.argmin(costs))
+        self.offer(rows[i], costs[i], (int(counts[0][i]), int(counts[1][i])))
 
     def end_iteration(self, params: SearchParams) -> bool:
         """Log the best cost of a finished iteration; True if the run asked to stop

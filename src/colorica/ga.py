@@ -162,7 +162,8 @@ def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
     pool = np.array(population)
     counts = batch_counts(g, pool)
     costs = cost_array(*counts, cost_params)
-    best = BestSoFar(g, pool, costs, counts, cost_params)
+    best = BestSoFar(cost_params)
+    best.offer_cheapest(pool, costs, counts)
     if _inspect is None:
         population = None
     else:

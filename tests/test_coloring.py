@@ -6,11 +6,12 @@ import pytest
 from colorica import coloring
 from colorica.coloring import (
     CostParams,
-    batch_costs,
     batch_counts,
     cost,
+    cost_array,
     count_conflicts,
     distinct_colours,
+    exact_costs,
     format_colouring,
     is_valid,
 )
@@ -145,19 +146,31 @@ class TestCost:
                 assert chi <= cost(g, col, params) <= n
 
 
+def _batch_costs(g, rows, params):
+    """Each row's exact cost, clash count and colour count, as lists, from one
+    `batch_counts` call and `exact_costs`."""
+    conflicts, used = batch_counts(g, rows)
+    return exact_costs(conflicts, used, params), conflicts.tolist(), used.tolist()
+
+
 def _assert_rows_match(g, rows, params):
-    """batch_costs agrees with the one-row functions on every row, int or float alike."""
-    costs, conflicts, used = batch_costs(g, rows, params)
+    """The exact costs of batch_counts agree with the one-row functions on every
+    row, int or float alike, and its cost_array with them as float64."""
+    costs, conflicts, used = _batch_costs(g, rows, params)
     assert len(costs) == len(conflicts) == len(used) == len(rows)
     for row, c, k, u in zip(rows, costs, conflicts, used):
         want = cost(g, row, params)
         assert c == want and type(c) is type(want)
         assert k == count_conflicts(g, row) and type(k) is int
         assert u == distinct_colours(row) and type(u) is int
+    as_floats = cost_array(*batch_counts(g, rows), params)
+    assert as_floats.dtype == np.float64 and as_floats.tolist() == [float(c) for c in costs]
     return costs, conflicts, used
 
 
 class TestBatchCosts:
+    """Costs from `batch_counts` through `exact_costs` and `cost_array`."""
+
     def test_matches_one_row_functions_on_random_graphs(self):
         rng = np.random.default_rng(31)
         for trial in range(60):
@@ -207,19 +220,19 @@ class TestBatchCosts:
         g = _random_graph(rng, 12, p=0.4)
         rows = rng.integers(1, 6, size=(25, 12))
         params = CostParams(12.0)
-        whole = batch_costs(g, rows, params)
+        whole = _batch_costs(g, rows, params)
         # a cap below one row's cells puts every row in its own chunk
         monkeypatch.setattr(coloring, "BATCH_CELLS", 1)
         assert _assert_rows_match(g, rows, params) == whole
         monkeypatch.setattr(coloring, "BATCH_CELLS", 3 * g.m)
-        assert batch_costs(g, rows, params) == whole
+        assert _batch_costs(g, rows, params) == whole
 
     @pytest.mark.parametrize("penalty", [400, 400.0])
     def test_more_clashes_than_a_uint16_holds(self, penalty):
         # 79,800 edges: one block of the clash count cannot hold them all
         g = complete_graph(400)
         rows = np.array([np.ones(400, dtype=np.int64), np.arange(1, 401), np.arange(400) % 2 + 1])
-        costs, conflicts, used = batch_costs(g, rows, CostParams(penalty))
+        costs, conflicts, used = _assert_rows_match(g, rows, CostParams(penalty))
         assert conflicts == [79_800, 0, 2 * 19_900]
         assert used == [1, 400, 2]
         assert costs == [79_800 * penalty + 1, 400, 39_800 * penalty + 2]
@@ -229,11 +242,12 @@ class TestBatchCosts:
 
     def test_no_rows_and_wrong_width(self):
         g = complete_graph(3)
-        assert batch_costs(g, np.empty((0, 3), dtype=np.int64), CostParams(3.0)) == ([], [], [])
+        assert _batch_costs(g, np.empty((0, 3), dtype=np.int64), CostParams(3.0)) == ([], [], [])
+        assert cost_array(*batch_counts(g, np.empty((0, 3), dtype=np.int64)), CostParams(3.0)).shape == (0,)
         with pytest.raises(ValueError):
-            batch_costs(g, np.ones((2, 4), dtype=np.int64), CostParams(3.0))
+            batch_counts(g, np.ones((2, 4), dtype=np.int64))
         with pytest.raises(ValueError):
-            batch_costs(g, np.ones(3, dtype=np.int64), CostParams(3.0))
+            batch_counts(g, np.ones(3, dtype=np.int64))
 
 
 def _assert_counts_match(g, rows):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from colorica.coloring import CostParams, cost, count_conflicts, distinct_colours, is_valid
+from colorica.coloring import CostParams, cost, count_conflicts, distinct_colours, exact_costs, is_valid
 from colorica import dica
 from colorica.dica import (
     TERMINATED_DECADES,
@@ -247,6 +247,16 @@ class TestFormEmpires:
             form_empires(countries, [1.0, 2.0], 0, rng)
 
 
+def _descend_costs(g, cols, steps, cp, rng):
+    """`descend`, with the exact costs of the counts it returns, which must be
+    each row's count_conflicts and distinct_colours as integer arrays."""
+    out, (clashes, used) = descend(g, cols, steps, rng)
+    assert clashes.dtype.kind == used.dtype.kind == "i"
+    assert clashes.tolist() == [count_conflicts(g, row) for row in out]
+    assert used.tolist() == [distinct_colours(row) for row in out]
+    return out, exact_costs(clashes, used, cp)
+
+
 class TestDescend:
     def test_clash_directed_swaps_never_raise_the_cost(self):
         g = mycielski_graph(5)
@@ -258,7 +268,7 @@ class TestDescend:
         for _ in range(40):
             cols = out
             kept = cols.copy()
-            out, out_costs = descend(g, cols, 1, cp, rng)
+            out, out_costs = _descend_costs(g, cols, 1, cp, rng)
             assert cols.tolist() == kept.tolist()
             for col, row, row_cost in zip(cols, out, out_costs):
                 assert sorted(row.tolist()) == sorted(col.tolist())
@@ -290,12 +300,12 @@ class TestDescend:
         assert improved > 0
 
         proper = np.array([[1, 2, 3, 4], [4, 3, 2, 1]])
-        out, out_costs = descend(complete_graph(4), proper, 3, CostParams(4.0), rng)
+        out, out_costs = _descend_costs(complete_graph(4), proper, 3, CostParams(4.0), rng)
         assert out.tolist() == proper.tolist() and out_costs == [4, 4]
 
         cols = np.stack([rng.permutation(np.arange(g.n) % 5 + 1) for _ in range(4)])
-        a = descend(g, cols, 3, cp, np.random.default_rng(5))
-        b = descend(g, cols, 3, cp, np.random.default_rng(5))
+        a = _descend_costs(g, cols, 3, cp, np.random.default_rng(5))
+        b = _descend_costs(g, cols, 3, cp, np.random.default_rng(5))
         assert a[0].tolist() == b[0].tolist() and a[1] == b[1]
 
     def test_costs_match_cost_value_and_type(self):
@@ -315,7 +325,7 @@ class TestDescend:
         assert not any(is_valid(g, col) for col in cols[2:])
         for cp in (CostParams.for_graph(g), CostParams(float(g.n)), CostParams(0.5)):
             for steps in (0, 1, 4):
-                out, out_costs = descend(g, cols, steps, cp, np.random.default_rng(steps))
+                out, out_costs = _descend_costs(g, cols, steps, cp, np.random.default_rng(steps))
                 assert len(out_costs) == len(cols)
                 for row, row_cost in zip(out, out_costs):
                     want = cost(g, row, cp)
@@ -330,10 +340,10 @@ class TestDescend:
         cols = np.stack([rng.permutation(np.arange(g.n) % 5 + 1) for _ in range(5)])
         # a cap below one row's table makes every row its own batch
         monkeypatch.setattr(dica, "_DESCENT_BATCH_CELLS", 1)
-        out, out_costs = descend(g, cols, 4, cp, np.random.default_rng(3))
+        out, out_costs = _descend_costs(g, cols, 4, cp, np.random.default_rng(3))
         rng = np.random.default_rng(3)
         for col, row, row_cost in zip(cols, out, out_costs):
-            alone, alone_costs = descend(g, col[None], 4, cp, rng)
+            alone, alone_costs = _descend_costs(g, col[None], 4, cp, rng)
             assert row.tolist() == alone[0].tolist() and row_cost == alone_costs[0]
 
 

@@ -4,7 +4,14 @@ wheel, the segment copy, the penalty bound, the seed and the population bound.""
 import numpy as np
 import pytest
 
-from colorica.coloring import CostParams, batch_counts, cost, cost_array, count_conflicts
+from colorica.coloring import (
+    CostParams,
+    batch_counts,
+    cost,
+    cost_array,
+    count_conflicts,
+    distinct_colours,
+)
 from colorica.engine import (
     MAX_POPULATION_CELLS,
     BestSoFar,
@@ -130,6 +137,14 @@ def _counted_rows(gen, g, proper, count, params):
     return rows, counts, cost_array(*counts, params), [cost(g, row, params) for row in rows]
 
 
+def _offered(g, rows, params):
+    """A BestSoFar offered the first cheapest of `rows`, counted by batch_counts."""
+    counts = batch_counts(g, np.asarray(rows))
+    best = BestSoFar(params)
+    best.offer_cheapest(rows, cost_array(*counts, params), counts)
+    return best
+
+
 class TestOfferCheapest:
     def test_matches_offering_each_in_turn(self):
         g = mycielski_graph(4)
@@ -138,47 +153,43 @@ class TestOfferCheapest:
         gen = np.random.default_rng(13)
         for trial in range(300):
             count = int(gen.integers(1, 12))
-            first = list(gen.integers(1, 5, size=(count, g.n)))
-            later = list(gen.integers(1, 5, size=(count, g.n)))
-            first_costs, later_costs = _mixed_costs(gen, count), _mixed_costs(gen, count)
-            one, each = BestSoFar(g, first, first_costs), BestSoFar(g, first, first_costs)
-            one.offer_cheapest(later, later_costs)
-            for row, c in zip(later, later_costs):
-                each.offer(row, c)
-            assert np.array_equal(one.row, each.row)
-            assert (one.cost, type(one.cost), one.conflicts, one.used) == (
-                each.cost, type(each.cost), each.conflicts, each.used
-            )
-
-            # counted offers: float64 costs with their counts, against the exact
-            # costs offered one by one; a penalty of 0.5 ties clashing rows with
-            # proper ones, and an int penalty keeps clashing costs int
+            # float64 costs with their counts, against the exact costs offered
+            # one by one with each row's own counts; a penalty of 0.5 ties
+            # clashing rows with proper ones, and an int penalty keeps clashing
+            # costs int
             params = CostParams((0.5, float(g.n), 2)[trial % 3])
             first, first_counts, first_costs, first_exact = _counted_rows(gen, g, proper, count, params)
             later, later_counts, later_costs, later_exact = _counted_rows(gen, g, proper, count, params)
-            one = BestSoFar(g, first, first_costs, first_counts, params)
-            each = BestSoFar(g, list(first), first_exact)
+            one, each = BestSoFar(params), BestSoFar(params)
+            one.offer_cheapest(first, first_costs, first_counts)
             one.offer_cheapest(later, later_costs, later_counts)
-            for row, c in zip(later, later_exact):
-                each.offer(row, c)
+            for row, c in zip(list(first) + list(later), first_exact + later_exact):
+                each.offer(row, c, (count_conflicts(g, row), distinct_colours(row)))
             assert np.array_equal(one.row, each.row)
             assert (one.cost, type(one.cost), one.conflicts, one.used) == (
                 each.cost, type(each.cost), each.conflicts, each.used
             )
+            want = cost(g, one.row, params)
+            assert one.cost == want and type(one.cost) is type(want)
             if type(params.penalty) is float:
                 assert (type(one.cost) is int) == (one.conflicts == 0)
 
     def test_first_of_equal_minima(self):
-        g = complete_graph(3)
+        # a penalty of 1 makes the clashing [1, 1, 2] cost 3.0, as the proper rows do
+        g, params = complete_graph(3), CostParams(1.0)
         rows = [np.array([1, 2, 3]), np.array([1, 1, 2]), np.array([2, 3, 1])]
-        best = BestSoFar(g, rows, [3, 4.0, 3.0])
+        best = _offered(g, rows, params)
         assert np.array_equal(best.row, rows[0]) and best.cost == 3 and type(best.cost) is int
+        best = _offered(g, rows[1:], params)
+        assert np.array_equal(best.row, rows[1]) and best.cost == 3.0 and type(best.cost) is float
 
     def test_no_improvement_keeps_the_best(self):
-        g = complete_graph(3)
+        g, params = complete_graph(3), CostParams(3.0)
         rows = [np.array([1, 2, 3]), np.array([1, 1, 2])]
-        best = BestSoFar(g, rows, [3, 5.0])
-        best.offer_cheapest([np.array([3, 2, 1]), np.array([2, 2, 2])], [3.0, 11.0])
+        best = _offered(g, rows, params)
+        later = np.array([[3, 2, 1], [2, 2, 2]])
+        counts = batch_counts(g, later)
+        best.offer_cheapest(list(later), cost_array(*counts, params), counts)
         assert np.array_equal(best.row, rows[0]) and best.cost == 3 and type(best.cost) is int
         assert (best.conflicts, best.used) == (0, 3)
 
@@ -186,7 +197,7 @@ class TestOfferCheapest:
         # a row offered out of a whole batch must not keep that batch alive
         g = complete_graph(3)
         batch = np.array([[1, 1, 2], [1, 2, 3]])
-        best = BestSoFar(g, list(batch), [5.0, 3])
+        best = _offered(g, batch, CostParams(3.0))
         assert np.array_equal(best.row, batch[1]) and best.row.base is None
         batch[1] = [2, 2, 2]
         assert best.row.tolist() == [1, 2, 3] and (best.conflicts, best.used) == (0, 3)

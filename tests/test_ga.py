@@ -299,6 +299,10 @@ class TestRunGa:
             GaParams(**bad).validate()
 
 
+def _counts(g, row):
+    return count_conflicts(g, row), distinct_colours(row)
+
+
 def _child_by_child_ga(g, params, _inspect=None):
     """The generation loop child by child: the random draws `breed` makes, in the
     same order and shapes, then each child built on its own by `crossover_2pt_at`
@@ -309,7 +313,9 @@ def _child_by_child_ga(g, params, _inspect=None):
     cost_params = params.cost_params(g)
     population = init_population(g, params, rng)
     costs = [cost(g, c, cost_params) for c in population]
-    best = BestSoFar(g, population, costs)
+    best = BestSoFar(cost_params)
+    for row, c in zip(population, costs):
+        best.offer(row, c, _counts(g, row))
     size = params.population_size
     n_children = size - params.elitism_count
     pairs = (n_children + 1) // 2
@@ -337,7 +343,7 @@ def _child_by_child_ga(g, params, _inspect=None):
             child_cost = cost(g, child, cost_params)
             new_pop.append(child)
             new_costs.append(child_cost)
-            best.offer(child, child_cost)
+            best.offer(child, child_cost, _counts(g, child))
         population, costs = new_pop, new_costs
         if _inspect is not None:
             _inspect("end", generation, population, costs)

@@ -1,26 +1,28 @@
 """Run every benchmark workload once, briefly, and check what each run prints.
 
-    python3 tools/bench_smoke.py [--seconds 1] [--seed 1]
+    python3 tools/bench_smoke.py
 
 Run it from the root of a colorica checkout.  Each workload listed in
-BENCHMARK.json runs once with `python3 perfbench/run.py` at `--trace 0` and
-once at `--trace 1`.  A run passes when it exits 0, its last line of standard
-output is one strict JSON object (NaN and Infinity are refused), its
-`correct` is true, and its metrics hold every metric that BENCHMARK.json
-lists for its trace mode: the end-to-end ones at `--trace 0`, the per-layer
-ones at `--trace 1`.  Prints one line per run and exits 1 if any run fails.
+BENCHMARK.json runs once for SECONDS seconds with seed SEED, through
+`python3 perfbench/run.py` at `--trace 0` and again at `--trace 1`.  A run
+passes when it exits 0, its last line of standard output is one strict JSON
+object (NaN and Infinity are refused), its `correct` is true, and its metrics
+hold every metric that BENCHMARK.json lists for its trace mode: the
+end-to-end ones at `--trace 0`, the per-layer ones at `--trace 1`.  Prints
+one line per run and exits 1 if any run fails.
 Uses the standard library only.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SECONDS = 1
+SEED = 1
 
 
 def _refuse(name: str):
@@ -53,11 +55,7 @@ def check_run(returncode: int, stdout: str, expected: list[str]) -> list[str]:
     return problems
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description="Run each benchmark workload briefly and check its output.")
-    p.add_argument("--seconds", type=float, default=1.0, help="seconds per run")
-    p.add_argument("--seed", type=int, default=1, help="seed of every run")
-    args = p.parse_args(argv)
+def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     expected = {
         0: [m["name"] for m in spec["end_to_end"]],
@@ -66,8 +64,8 @@ def main(argv=None) -> int:
     failed = 0
     for workload in (w["name"] for w in spec["workloads"]):
         for trace in (0, 1):
-            cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(args.seed),
-                   "--seconds", str(args.seconds), "--trace", str(trace)]
+            cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+                   "--seconds", str(SECONDS), "--trace", str(trace)]
             proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
             problems = check_run(proc.returncode, proc.stdout, expected[trace])
             print(f"{workload} --trace {trace}: {'; '.join(problems) or 'ok'}")
