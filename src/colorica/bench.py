@@ -17,7 +17,7 @@ from .coloring import count_conflicts, distinct_colours
 from .dica import DicaParams, run_dica
 from .ga import GaParams, run_ga
 from .graphs import Graph, GraphMeta
-from .oracle import OracleLimit, OracleLimitExceeded, chromatic_number_exact
+from .oracle import OracleLimitExceeded, chromatic_number_exact
 
 ALGORITHMS = ("dica", "ga")
 
@@ -54,9 +54,7 @@ class BenchReport:
     mean_elapsed_ms: float
 
 
-def resolve_chromatic(
-    g: Graph, meta: GraphMeta, limit: OracleLimit = OracleLimit()
-) -> int:
+def resolve_chromatic(g: Graph, meta: GraphMeta) -> int:
     """Known chromatic number from metadata, else the exact oracle; error if neither."""
     if meta.known_chromatic is not None:
         chi = meta.known_chromatic
@@ -64,7 +62,7 @@ def resolve_chromatic(
             raise ValueError(f"chromatic number {chi} of {meta.name} is not in 1..{g.n}")
         return chi
     try:
-        return chromatic_number_exact(g, limit)
+        return chromatic_number_exact(g)
     except OracleLimitExceeded as exc:
         raise ValueError(
             f"chromatic number of {meta.name} is not known and the exact "

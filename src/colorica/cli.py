@@ -219,8 +219,6 @@ def _parse_instance(spec: str) -> tuple[Graph, GraphMeta]:
 
 
 def _cmd_gen(ns: argparse.Namespace) -> int:
-    if ns.param < 1:
-        raise ValueError(f"param must be >= 1, got {ns.param}")
     g = GENERATORS[ns.family](ns.param)
     out = Path(ns.out) if ns.out else Path(f"{ns.family}-{ns.param}.col")
     out.write_text(write_dimacs(g))

@@ -20,7 +20,8 @@ from .graphs import Graph
 # the memory budget of a batched array pass, in array cells: batch_counts caps
 # its rows per chunk so that the gathered (edge, row) colour pairs, the
 # (vertex, row) uint64 colour words and the (row, colour) presence mask each
-# stay near it, and dica.descend does the same for its neighbour-colour table.
+# stay near it, and dica.descend does the same for its neighbour-colour table,
+# whose one row alone is palette width x vertex count cells.
 # The words are 8 bytes a cell, up to 16 MB a chunk at the 16384-vertex bound;
 # a ga run there peaks at the same RSS as with a 1-byte mask in their place,
 # since its two population arrays set the peak, while words taken in smaller

@@ -26,8 +26,7 @@ from .coloring import BATCH_CELLS, batch_counts, cost_array
 # `cost` is no longer called here but stays importable as colorica.dica.cost,
 # a name the benchmark's probe and its tests look up
 from .coloring import cost  # noqa: F401
-# resolve_k_max is not used here but stays importable from here, where it first lived
-from .engine import (  # noqa: F401
+from .engine import (
     TERMINATED_DECADES,
     TERMINATED_EARLY_STOP,
     TERMINATED_SINGLE_EMPIRE,
@@ -39,7 +38,6 @@ from .engine import (  # noqa: F401
     cut_points,
     init_population,
     rank,
-    resolve_k_max,
     roulette_wheel,
     spin,
 )
@@ -50,10 +48,6 @@ from .graphs import Graph
 # seeds 301-450, 3 steps solve 65% of runs, 4 solve 75% and 5 solve 81%; at
 # 65% a gate of 10 successes in 20 runs fails for about one seed window in 19.
 IMPERIALIST_DESCENT_STEPS = 4
-
-# rows per descent batch are capped so that its neighbour-colour table and its
-# per-edge index arrays stay near this many int64 cells (16 MB at 2^21)
-_DESCENT_BATCH_CELLS = BATCH_CELLS
 
 # inspection hook: (stage, decade, empires) -> None
 InspectFn = Callable[[str, int, list["Empire"]], None]
@@ -102,18 +96,12 @@ class Empire:
 def _largest_remainder(powers: Sequence[float], total: int) -> list[int]:
     """Apportion `total` items by the given shares: floors, then largest fractions."""
     quotas = [p * total for p in powers]
-    counts = [max(0, math.floor(q)) for q in quotas]
-    leftover = total - sum(counts)
+    counts = [math.floor(q) for q in quotas]
     by_fraction = sorted(
         range(len(powers)), key=lambda i: (-(quotas[i] - math.floor(quotas[i])), i)
     )
-    for i in by_fraction[: max(0, leftover)]:
+    for i in by_fraction[: total - sum(counts)]:
         counts[i] += 1
-    drift = total - sum(counts)
-    if drift:
-        # float noise in the shares; settle the difference on the largest share
-        j = max(range(len(powers)), key=lambda i: (powers[i], -i))
-        counts[j] = max(0, counts[j] + drift)
     return counts
 
 
@@ -238,20 +226,24 @@ def descend(
     it would add clashes.  The neighbours of the drawn and moved vertices come
     as 0/1 rows unpacked from `Graph.packed_adjacency`.  Swaps keep each row's
     colour multiset, so a proper colouring comes back unchanged and no cost
-    rises.  Rows are taken in batches small enough to bound that table's
-    memory, in row order.  Returns new colourings and their (conflicts, used)
-    integer count arrays, as `coloring.batch_counts` gives them, the clashes
-    counted from the same table; the input is left untouched.
+    rises.  Rows go in row order, in batches whose table stays near BATCH_CELLS
+    cells, or alone when one row's table (palette width x n) is larger; then
+    a proper row is not tabled.  Returns new colourings and their (conflicts,
+    used) integer count arrays, as `coloring.batch_counts` gives them, the
+    clashes counted from the same table; the input is left untouched.
     """
     out = np.array(cols)
     count, n = out.shape
     width = int(out.max()) + 1
     eu, ev = g.edge_index_arrays
-    per_batch = max(1, _DESCENT_BATCH_CELLS // max(width * n, 2 * eu.size))
+    per_batch = max(1, BATCH_CELLS // max(width * n, 2 * eu.size))
     if count > per_batch:
         parts = [descend(g, out[i : i + per_batch], steps, rng) for i in range(0, count, per_batch)]
         rows, counts = zip(*parts)
         return np.concatenate(rows), tuple(np.concatenate(c) for c in zip(*counts))
+    if width * n > BATCH_CELLS and not (out[:, eu] == out[:, ev]).any():
+        # a batch with no clash takes no step and draws nothing: skip the table
+        return out, batch_counts(g, out)
     packed = g.packed_adjacency
     rows = np.arange(count)
     vertex = np.arange(n)
@@ -328,18 +320,14 @@ def empire_total_cost(empire: Empire, xi: float) -> float:
     return empire.imperialist_cost + xi * mean
 
 
-def _argmax_last(values: Sequence[float]) -> int:
-    """Index of the maximum; ties go to the highest index."""
-    return max(range(len(values)), key=lambda i: (values[i], i))
-
-
-def normalized_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Fraction of positions where the two colourings disagree."""
+def normalized_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Fraction of positions where two colourings disagree; on two stacks of
+    colourings, the fraction for each pair of rows."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError("colouring lengths differ")
-    return int(np.count_nonzero(a != b)) / a.shape[0]
+    return np.count_nonzero(a != b, axis=-1) / a.shape[-1]
 
 
 def unite_similar_empires(
@@ -354,8 +342,7 @@ def unite_similar_empires(
         return empires
     imps = np.array([e.imperialist for e in empires])
     rows, cols = np.triu_indices(len(empires), 1)
-    # same float as normalized_distance: differing-cell count / n
-    dists = np.count_nonzero(imps[rows] != imps[cols], axis=1) / imps.shape[1]
+    dists = normalized_distance(imps[rows], imps[cols])
     close = np.flatnonzero(dists < threshold)
     if close.size == 0:
         return empires
@@ -388,7 +375,7 @@ def imperialistic_competition(
     if len(empires) < 2:
         return empires
     totals = [empire_total_cost(e, xi) for e in empires]
-    weakest = _argmax_last(totals)
+    weakest = rank(totals)[-1]
     rivals = [i for i in range(len(empires)) if i != weakest]
     wheel = roulette_wheel([totals[weakest] - totals[i] for i in rivals])
     if wheel[1] > 0.0:
@@ -397,7 +384,7 @@ def imperialistic_competition(
         winner = rivals[int(rng.integers(len(rivals)))]
     loser = empires[weakest]
     if loser.colonies:
-        worst = _argmax_last(loser.colony_costs)
+        worst = rank(loser.colony_costs)[-1]
         empires[winner].colonies.append(loser.colonies.pop(worst))
         empires[winner].colony_costs.append(loser.colony_costs.pop(worst))
         return empires

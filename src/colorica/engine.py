@@ -148,8 +148,7 @@ class BestSoFar:
     """The cheapest colouring a run has been offered, as its own copy, with its
     exact cost and counts, and the per-iteration best costs.  Rows come with
     their (conflicts, used) counts; the kept row's exact cost, an int when it is
-    proper, is taken from its counts and `cost_params`, never through `cost`,
-    whose calls are the evaluations."""
+    proper, is taken from its counts and `cost_params`; it never calls `cost`."""
 
     def __init__(self, cost_params: CostParams) -> None:
         self.cost_params = cost_params

@@ -45,19 +45,15 @@ class TestSummarize:
 
 class TestParseArgs:
     def test_labels_and_seeds(self, bench_record):
-        args = bench_record.parse_args([f"old={ROOT}", f"new={ROOT}", "--seeds", "3"])
+        args = bench_record.parse_args([f"old={ROOT}", f"new={ROOT}"])
         assert args.checkouts == {"old": ROOT, "new": ROOT}
-        assert args.seeds == 3
-
-    def test_default_seed_count(self, bench_record):
-        assert bench_record.parse_args([f"x={ROOT}"]).seeds == 10
+        assert (bench_record.SEED_BASE, bench_record.SEEDS) == (31, 10)
 
     @pytest.mark.parametrize(
         "argv,message",
         [
             ([f"a={ROOT}", f"a={ROOT}"], "bad or repeated label"),
             ([f"={ROOT}"], "bad or repeated label"),
-            ([f"a={ROOT}", "--seeds", "0"], "--seeds must be >= 1"),
         ],
     )
     def test_refused(self, bench_record, capsys, argv, message):

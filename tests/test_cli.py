@@ -151,7 +151,7 @@ class TestGen:
 
     def test_nonpositive_param_exits_one(self, tmp_path, capsys):
         assert main(["gen", "complete", "0"]) == 1
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: complete graph needs k >= 1, got 0")
 
 
 class TestSolve:

@@ -1,5 +1,7 @@
 """Imperialist-style engine: operator worked examples, contracts, run invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,12 +23,13 @@ from colorica.dica import (
     imperialistic_competition,
     init_population,
     normalized_distance,
-    resolve_k_max,
     revolve,
     revolve_at,
     run_dica,
     unite_similar_empires,
 )
+from colorica.coloring import BATCH_CELLS
+from colorica.engine import resolve_k_max
 from colorica.graphs import MAX_VERTICES, Graph, complete_graph, mycielski_graph, queen_graph
 
 
@@ -236,6 +239,33 @@ class TestFormEmpires:
             for c, cc in zip(e.colonies, e.colony_costs):
                 assert cc == costs[int(c[0])]
 
+    def test_colony_counts_follow_the_quotas(self):
+        # costs with ties, all-equal runs and near-ties: every colony is dealt,
+        # and each empire's count is within 1 of its share of the colonies
+        rng = np.random.default_rng(31)
+        for trial in range(400):
+            size = int(rng.integers(2, 80))
+            n_imp = int(rng.integers(1, size))
+            kind = trial % 4
+            if kind == 0:
+                costs = rng.integers(1, 6, size=size).tolist()
+            elif kind == 1:
+                costs = [7.0] * size
+            elif kind == 2:
+                costs = (rng.random(size) * 1e3).tolist()
+            else:
+                costs = (5.0 + rng.integers(0, 3, size=size) * 1e-12).tolist()
+            countries = [np.array([i]) for i in range(size)]
+            empires = form_empires(countries, costs, n_imp, rng)
+            got = [len(e.colonies) for e in empires]
+            assert sum(got) == size - n_imp
+            imp_costs = [e.imperialist_cost for e in empires]
+            shifted = [c - max(imp_costs) for c in imp_costs]
+            total = sum(shifted)
+            dealt = size - n_imp
+            quotas = [s / total * dealt if total else dealt / n_imp for s in shifted]
+            assert all(abs(c - q) <= 1 for c, q in zip(got, quotas))
+
     def test_bad_arguments(self):
         rng = np.random.default_rng(1)
         countries = [np.array([0]), np.array([1])]
@@ -339,7 +369,7 @@ class TestDescend:
         rng = np.random.default_rng(8)
         cols = np.stack([rng.permutation(np.arange(g.n) % 5 + 1) for _ in range(5)])
         # a cap below one row's table makes every row its own batch
-        monkeypatch.setattr(dica, "_DESCENT_BATCH_CELLS", 1)
+        monkeypatch.setattr(dica, "BATCH_CELLS", 1)
         out, out_costs = _descend_costs(g, cols, 4, cp, np.random.default_rng(3))
         rng = np.random.default_rng(3)
         for col, row, row_cost in zip(cols, out, out_costs):
@@ -482,6 +512,17 @@ class TestNormalizedDistance:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             normalized_distance(np.array([1]), np.array([1, 2]))
+        with pytest.raises(ValueError):
+            normalized_distance(np.ones((2, 3)), np.ones((3, 3)))
+
+    def test_stacks_compare_row_by_row(self):
+        rng = np.random.default_rng(37)
+        for n in (1, 7, 49):
+            a = rng.integers(1, 4, size=(6, n))
+            b = rng.integers(1, 4, size=(6, n))
+            b[0] = a[0]
+            got = normalized_distance(a, b)
+            assert got.tolist() == [normalized_distance(x, y) for x, y in zip(a, b)]
 
 
 class TestUnite:
@@ -705,6 +746,24 @@ class TestRunDica:
     def test_invalid_params(self, bad):
         with pytest.raises(ValueError):
             DicaParams(**bad).validate()
+
+
+class TestDescentMemory:
+    def test_proper_rows_of_a_wide_palette_build_no_table(self):
+        # the default k_max on a star is n, so one row's neighbour-colour table
+        # alone would be 4001 x 4000 int64 cells, 128 MB, far past BATCH_CELLS
+        n = 4000
+        g = Graph(n, tuple((1, v) for v in range(2, n + 1)))
+        g.edge_index_arrays
+        params = DicaParams(population_size=10, decades=1, rng_seed=3)
+        tracemalloc.start()
+        try:
+            result = run_dica(g, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.conflicts == 0
+        assert peak < 8 * BATCH_CELLS
 
 
 class TestInspectOnlyObserves:

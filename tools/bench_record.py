@@ -1,9 +1,9 @@
 """Record the benchmark's end-to-end metrics over several seeds as BENCH_<label>.json.
 
-    python3 tools/bench_record.py LABEL[=CHECKOUT] ... [--seeds 10]
+    python3 tools/bench_record.py LABEL[=CHECKOUT] ...
 
 Each LABEL names one colorica checkout (the current directory when no
-CHECKOUT is given).  For each of the seeds 31, 32, ..., every workload listed
+CHECKOUT is given).  For each of the ten seeds 31-40, every workload listed
 in the first checkout's BENCHMARK.json runs once per checkout with
 `python3 perfbench/run.py --seconds 40 --trace 0`, the checkouts taking turns
 to go first, so that two labels recorded together form alternating pairs.
@@ -23,16 +23,14 @@ import sys
 from pathlib import Path
 
 SEED_BASE = 31
+SEEDS = 10
 SECONDS = 40.0
 
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description="Record BENCH_<label>.json files from perfbench runs.")
     p.add_argument("labels", nargs="+", metavar="LABEL[=CHECKOUT]")
-    p.add_argument("--seeds", type=int, default=10, help=f"number of seeds, from {SEED_BASE} on")
     args = p.parse_args(argv)
-    if args.seeds < 1:
-        p.error("--seeds must be >= 1")
     checkouts = {}
     for item in args.labels:
         label, _, path = item.partition("=")
@@ -82,7 +80,7 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in json.loads((first / "BENCHMARK.json").read_text())["workloads"]]
     runs = {label: {w: [] for w in workloads} for label in args.checkouts}
     order = list(args.checkouts)
-    seeds = [SEED_BASE + i for i in range(args.seeds)]
+    seeds = [SEED_BASE + i for i in range(SEEDS)]
     for i, seed in enumerate(seeds):
         for workload in workloads:
             for label in order if i % 2 == 0 else order[::-1]:
