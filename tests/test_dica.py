@@ -5,7 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from colorica.coloring import CostParams, cost, count_conflicts, distinct_colours, exact_costs, is_valid
+from colorica.coloring import (
+    BATCH_CELLS,
+    CostParams,
+    cost,
+    count_conflicts,
+    distinct_colours,
+    exact_costs,
+    is_valid,
+)
 from colorica import dica
 from colorica.dica import (
     TERMINATED_DECADES,
@@ -28,7 +36,6 @@ from colorica.dica import (
     run_dica,
     unite_similar_empires,
 )
-from colorica.coloring import BATCH_CELLS
 from colorica.engine import resolve_k_max
 from colorica.graphs import MAX_VERTICES, Graph, complete_graph, mycielski_graph, queen_graph
 
@@ -258,11 +265,11 @@ class TestFormEmpires:
             countries = [np.array([i]) for i in range(size)]
             empires = form_empires(countries, costs, n_imp, rng)
             got = [len(e.colonies) for e in empires]
-            assert sum(got) == size - n_imp
+            dealt = size - n_imp
+            assert sum(got) == dealt
             imp_costs = [e.imperialist_cost for e in empires]
             shifted = [c - max(imp_costs) for c in imp_costs]
             total = sum(shifted)
-            dealt = size - n_imp
             quotas = [s / total * dealt if total else dealt / n_imp for s in shifted]
             assert all(abs(c - q) <= 1 for c, q in zip(got, quotas))
 
@@ -375,6 +382,22 @@ class TestDescend:
         for col, row, row_cost in zip(cols, out, out_costs):
             alone, alone_costs = _descend_costs(g, col[None], 4, cp, rng)
             assert row.tolist() == alone[0].tolist() and row_cost == alone_costs[0]
+
+    def test_proper_rows_of_a_wide_palette_build_no_table(self):
+        # the default k_max on a star is n, so one row's neighbour-colour table
+        # alone would be 4001 x 4000 int64 cells, 128 MB, far past BATCH_CELLS
+        n = 4000
+        g = Graph(n, tuple((1, v) for v in range(2, n + 1)))
+        g.edge_index_arrays
+        params = DicaParams(population_size=10, decades=1, rng_seed=3)
+        tracemalloc.start()
+        try:
+            result = run_dica(g, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.conflicts == 0
+        assert peak < 8 * BATCH_CELLS
 
 
 def _segment_copies(imp, col):
@@ -746,24 +769,6 @@ class TestRunDica:
     def test_invalid_params(self, bad):
         with pytest.raises(ValueError):
             DicaParams(**bad).validate()
-
-
-class TestDescentMemory:
-    def test_proper_rows_of_a_wide_palette_build_no_table(self):
-        # the default k_max on a star is n, so one row's neighbour-colour table
-        # alone would be 4001 x 4000 int64 cells, 128 MB, far past BATCH_CELLS
-        n = 4000
-        g = Graph(n, tuple((1, v) for v in range(2, n + 1)))
-        g.edge_index_arrays
-        params = DicaParams(population_size=10, decades=1, rng_seed=3)
-        tracemalloc.start()
-        try:
-            result = run_dica(g, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert result.conflicts == 0
-        assert peak < 8 * BATCH_CELLS
 
 
 class TestInspectOnlyObserves:
