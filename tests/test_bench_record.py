@@ -47,7 +47,10 @@ class TestParseArgs:
     def test_labels_and_seeds(self, bench_record):
         args = bench_record.parse_args([f"old={ROOT}", f"new={ROOT}"])
         assert args.checkouts == {"old": ROOT, "new": ROOT}
-        assert (bench_record.SEED_BASE, bench_record.SEEDS) == (31, 10)
+        assert bench_record.SEED_BASE == 31
+
+    def test_default_seed_count(self, bench_record):
+        assert bench_record.SEEDS == 10
 
     @pytest.mark.parametrize(
         "argv,message",
