@@ -20,6 +20,10 @@ from .graphs import Graph, GraphMeta
 from .oracle import OracleLimitExceeded, chromatic_number_exact
 
 ALGORITHMS = ("dica", "ga")
+# the harness defaults, which the CLI's bench flags take too
+DEFAULT_RUNS = 20
+DEFAULT_SEED_BASE = 1
+FORMATS = ("table", "csv", "json")
 
 CSV_HEADER = (
     "graph,algorithm,seed,success,conflicts,colours_used,best_cost,iterations,elapsed_ms"
@@ -75,8 +79,8 @@ def run_trials(
     meta: GraphMeta,
     algo: str,
     base_params,
-    runs: int = 20,
-    seed_base: int = 1,
+    runs: int = DEFAULT_RUNS,
+    seed_base: int = DEFAULT_SEED_BASE,
 ) -> list[TrialRecord]:
     """Run `runs` independent solves seeded seed_base..seed_base+runs-1, judged
     against `meta`'s chromatic number, else the exact oracle's."""
@@ -145,7 +149,7 @@ def _fmt_num(v: float) -> str:
     return f"{v:g}"
 
 
-def emit_report(records: list[TrialRecord], format: str = "table") -> str:
+def emit_report(records: list[TrialRecord], format: str = FORMATS[0]) -> str:
     """Render records as an aligned table, exact-schema CSV, or JSON array."""
     if not records:
         raise ValueError("no records to report")
@@ -196,4 +200,4 @@ def emit_report(records: list[TrialRecord], format: str = "table") -> str:
             for row in rows
         ]
         return "\n".join(lines) + "\n"
-    raise ValueError(f"format must be one of table, csv, json; got {format!r}")
+    raise ValueError(f"format must be one of {', '.join(FORMATS)}; got {format!r}")

@@ -14,7 +14,7 @@ import typing
 from dataclasses import fields
 from pathlib import Path
 
-from .bench import ALGORITHMS, emit_report, resolve_chromatic, run_trials
+from .bench import ALGORITHMS, DEFAULT_RUNS, DEFAULT_SEED_BASE, FORMATS, emit_report, resolve_chromatic, run_trials
 from .coloring import format_colouring
 from .dica import DicaParams, run_dica
 from .engine import SearchParams
@@ -147,9 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="INSTANCE",
         help="DIMACS file path or generator spec family:param (e.g. queen:5)",
     )
-    p_bench.add_argument("--runs", type=int, default=20, help="trials per (instance, algorithm)")
-    p_bench.add_argument("--seed-base", type=int, default=1, help="first seed; trial i uses seed-base + i")
-    p_bench.add_argument("--format", choices=("table", "csv", "json"), default="table", help="report format")
+    p_bench.add_argument("--runs", type=int, default=DEFAULT_RUNS, help="trials per (instance, algorithm)")
+    p_bench.add_argument("--seed-base", type=int, default=DEFAULT_SEED_BASE, help="first seed; trial i uses seed-base + i")
+    p_bench.add_argument("--format", choices=FORMATS, default=FORMATS[0], help="report format")
     p_bench.add_argument(
         "--algos",
         choices=(*ALGORITHMS, "both"),

@@ -59,8 +59,6 @@ def _as_array(g: Graph, col: Sequence[int]) -> np.ndarray:
 def count_conflicts(g: Graph, col: Sequence[int]) -> int:
     """Number of edges whose endpoints share a colour; 0 iff the colouring is proper."""
     arr = _as_array(g, col)
-    if not g.edges:
-        return 0
     eu, ev = g.edge_index_arrays
     return int(np.count_nonzero(arr[eu] == arr[ev]))
 
@@ -93,20 +91,13 @@ def exact_costs(conflicts: np.ndarray, used: np.ndarray, params: CostParams) -> 
     return [exact_cost(c, u, params) for c, u in zip(conflicts.tolist(), used.tolist())]
 
 
-def _swar_popcount(words: np.ndarray) -> np.ndarray:
-    """The set bits of each uint64 word, by the usual shift-and-mask sums.  The
-    constants are np.uint64: numpy 1.x turns uint64 with a Python int into float64."""
-    m1, m2, m4, h01 = (np.uint64(x) for x in (0x5555555555555555, 0x3333333333333333,
-                                                  0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
-    one, two, four, top = (np.uint64(x) for x in (1, 2, 4, 56))
-    words = words - ((words >> one) & m1)
-    words = (words & m2) + ((words >> two) & m2)
-    words = (words + (words >> four)) & m4
-    return (words * h01) >> top
+def _unpacked_popcount(words: np.ndarray) -> np.ndarray:
+    """The set bits of each uint64 word, summed over its unpacked bytes."""
+    return np.unpackbits(words.view(np.uint8)).reshape(words.size, 64).sum(axis=1)
 
 
-# numpy 2.0 counts bits in one call; numpy 1.x takes the SWAR sums
-_popcount = getattr(np, "bitwise_count", _swar_popcount)
+# numpy 2.0 counts bits in one call; numpy 1.x sums the unpacked bits
+_popcount = getattr(np, "bitwise_count", _unpacked_popcount)
 
 
 def batch_counts(g: Graph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

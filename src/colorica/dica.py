@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coloring import BATCH_CELLS, batch_counts, cost_array
+from .coloring import BATCH_CELLS, batch_counts
 
 # `cost` is no longer called here but stays importable as colorica.dica.cost,
 # a name the benchmark's probe and its tests look up
@@ -397,27 +397,23 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     """Full search loop; deterministic for a given (graph, params) pair.
 
     Every decade all colonies, stacked in empire order, take one `colony_step`
-    and are counted together by `batch_counts`; their float64 costs go back
-    into each Empire before its exchange, and the first cheapest is offered as
-    the best with its counts.  Once every empire has made its exchange, and
-    before the `post_exchange` inspection, all imperialists get
-    IMPERIALIST_DESCENT_STEPS steps of `descend` together, drawn from the
-    run's own RNG; each imperialist's cached cost becomes the float64 cost of
-    the counts `descend` returns, and they are offered as the best with them.
+    and are counted together by `batch_counts`; one `BestSoFar.offer` of the
+    counts gives their float64 costs, which go back into each Empire before
+    its exchange, and offers the first cheapest as the best.  Once every
+    empire has made its exchange, and before the `post_exchange` inspection,
+    all imperialists get IMPERIALIST_DESCENT_STEPS steps of `descend`
+    together, drawn from the run's own RNG, and are offered with the counts
+    it returns; each imperialist's cached cost becomes their float64 cost.
     """
     params.validate()
     rng = np.random.default_rng(params.rng_seed)
-    cost_params = params.cost_params(g)
+    best = BestSoFar(params.cost_params(g))
 
     population = init_population(g, params, rng)
-    counts = batch_counts(g, np.array(population))
-    costs = cost_array(*counts, cost_params)
+    costs = best.offer(population, batch_counts(g, np.array(population))).tolist()
 
     n_imp = max(1, round(params.imperialist_fraction * params.population_size))
-    empires = form_empires(population, costs.tolist(), n_imp, rng)
-
-    best = BestSoFar(cost_params)
-    best.offer_cheapest(population, costs, counts)
+    empires = form_empires(population, costs, n_imp, rng)
     revolution_rate = params.revolution_rate
 
     for decade in range(params.decades):
@@ -429,24 +425,19 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
             revolution_rate,
             rng,
         )
-        counts = batch_counts(g, children)
-        costs = cost_array(*counts, cost_params)
-        best.offer_cheapest(children, costs, counts)
-        costs = costs.tolist()
-        rows = list(children)
+        costs = best.offer(children, batch_counts(g, children)).tolist()
         start = 0
         for empire, size in zip(empires, sizes):
-            empire.colonies[:] = rows[start : start + size]
+            empire.colonies[:] = children[start : start + size]
             empire.colony_costs[:] = costs[start : start + size]
             start += size
             exchange_if_better(empire)
         imperialists, counts = descend(
             g, np.array([e.imperialist for e in empires]), IMPERIALIST_DESCENT_STEPS, rng
         )
-        costs = cost_array(*counts, cost_params)
-        for empire, imp, imp_cost in zip(empires, imperialists, costs.tolist()):
+        costs = best.offer(imperialists, counts).tolist()
+        for empire, imp, imp_cost in zip(empires, imperialists, costs):
             empire.imperialist, empire.imperialist_cost = imp, imp_cost
-        best.offer_cheapest(imperialists, costs, counts)
         if _inspect is not None:
             _inspect("post_exchange", decade, empires)
         empires = unite_similar_empires(empires, params.uniting_threshold, params.xi)

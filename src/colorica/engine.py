@@ -1,8 +1,8 @@
 """What both population engines share: the common parameters, the default
 penalty, the initial population, the cost-then-index ranking, the cut points
 and segment copy of assimilation and crossover (one row or a batch), the
-roulette wheel, the best-so-far with its first-cheapest offer and early stop,
-and the run result.
+roulette wheel, the best-so-far, which costs each batch offered from its
+counts and keeps the first cheapest row, with its early stop, and the result.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import CostParams, exact_cost
+from .coloring import CostParams, cost_array, exact_cost
 from .graphs import MAX_VERTICES, Graph, max_degree
 
 TERMINATED_DECADES = "decades_exhausted"
@@ -146,28 +146,28 @@ def spin(wheel: tuple[np.ndarray, float], r):
 
 class BestSoFar:
     """The cheapest colouring a run has been offered, as its own copy, with its
-    exact cost and counts, and the per-iteration best costs.  Rows come with
-    their (conflicts, used) counts; the kept row's exact cost, an int when it is
-    proper, is taken from its counts and `cost_params`; it never calls `cost`."""
+    exact cost and counts, and the per-iteration best costs.  Rows come in
+    batches with their (conflicts, used) counts, from which `offer` makes the
+    search costs; the kept row's exact cost, an int when it is proper, is taken
+    from its counts and `cost_params`; it never calls `cost`."""
 
     def __init__(self, cost_params: CostParams) -> None:
         self.cost_params = cost_params
         self.history: list[float] = []
         self.cost = float("inf")
 
-    def offer(self, row: np.ndarray, cost, counts: tuple[int, int]) -> None:
-        """Keep a copy of `row` if its cost is strictly below the best so far's."""
-        if cost < self.cost:
-            self.row = np.array(row)
-            self.conflicts, self.used = counts
-            self.cost = exact_cost(self.conflicts, self.used, self.cost_params)
-
-    def offer_cheapest(self, rows, costs: np.ndarray, counts) -> None:
-        """Offer the first cheapest of `rows`: what offering each in turn keeps.
-        `counts` are the (conflicts, used) int64 arrays of
-        `coloring.batch_counts` and `costs` their `cost_array`."""
+    def offer(self, rows, counts) -> np.ndarray:
+        """The float64 `cost_array` of `counts`, the (conflicts, used) int64
+        arrays of `coloring.batch_counts` for `rows`; a copy of the first
+        cheapest row is kept if it is strictly below the best so far, which is
+        what offering each row in turn would keep."""
+        costs = cost_array(*counts, self.cost_params)
         i = int(np.argmin(costs))
-        self.offer(rows[i], costs[i], (int(counts[0][i]), int(counts[1][i])))
+        if costs[i] < self.cost:
+            self.row = np.array(rows[i])
+            self.conflicts, self.used = int(counts[0][i]), int(counts[1][i])
+            self.cost = exact_cost(self.conflicts, self.used, self.cost_params)
+        return costs
 
     def end_iteration(self, params: SearchParams) -> bool:
         """Log the best cost of a finished iteration; True if the run asked to stop

@@ -15,7 +15,7 @@ import numpy as np
 
 # `cost` is not called here but stays importable as colorica.ga.cost, a name
 # the benchmark's probe and its tests look up
-from .coloring import BATCH_CELLS, batch_counts, cost, cost_array, exact_costs  # noqa: F401
+from .coloring import BATCH_CELLS, batch_counts, cost, exact_costs  # noqa: F401
 from .engine import (
     TERMINATED_DECADES,
     TERMINATED_EARLY_STOP,
@@ -149,42 +149,38 @@ def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
     A generation is one (size, n) array, built by one `breed` call (its
     `elitism_count` cheapest rows by `rank`, carried over unchanged, then the
     children), and one float64 array of its costs.  The initial population and
-    each generation's children are counted by one `batch_counts` call each, and
-    the first cheapest child is offered as the best with its counts, from which
-    `BestSoFar` takes its exact cost, int or float.
+    each generation's children are counted by one `batch_counts` call each and
+    offered to `BestSoFar` with their counts, which gives their costs, keeps
+    the first cheapest and takes its exact cost, int or float, from its counts.
     """
     params.validate()
     rng = np.random.default_rng(params.rng_seed)
     k_max = resolve_k_max(g, params.k_max)
-    cost_params = params.cost_params(g)
+    best = BestSoFar(params.cost_params(g))
 
     population = init_population(g, params, rng)
     pool = np.array(population)
     counts = batch_counts(g, pool)
-    costs = cost_array(*counts, cost_params)
-    best = BestSoFar(cost_params)
-    best.offer_cheapest(pool, costs, counts)
+    costs = best.offer(pool, counts)
     if _inspect is None:
         population = None
     else:
         # only `_inspect` sees the rows as a list (each elite carried over as
         # the same object, each child a new one) and the costs typed as `cost`
         # types them
-        exact = exact_costs(*counts, cost_params)
+        exact = exact_costs(*counts, best.cost_params)
     kept = params.elitism_count
     elite = rank(costs)[:kept]
 
     for generation in range(params.generations):
         pool = breed(pool, costs, elite, k_max, params, rng)
         counts = batch_counts(g, pool[kept:])
-        child_costs = cost_array(*counts, cost_params)
-        costs = np.concatenate((costs[elite], child_costs))
-        best.offer_cheapest(pool[kept:], child_costs, counts)
+        costs = np.concatenate((costs[elite], best.offer(pool[kept:], counts)))
         if _inspect is not None:
             # each child its own copy: a carried row that was a view would keep
             # its whole generation's array alive
             population = [population[j] for j in elite] + [row.copy() for row in pool[kept:]]
-            exact = [exact[j] for j in elite] + exact_costs(*counts, cost_params)
+            exact = [exact[j] for j in elite] + exact_costs(*counts, best.cost_params)
             _inspect("end", generation, population, exact)
         elite = rank(costs)[:kept]
         if best.end_iteration(params):

@@ -247,9 +247,7 @@ _QUEEN_CHROMATIC = {5: 5, 7: 7}
 
 
 def family_chromatic(family: str, param: int) -> int | None:
-    if family == "complete":
-        return param
-    if family == "mycielski":
+    if family in ("complete", "mycielski"):
         return param
     if family == "queen":
         return _QUEEN_CHROMATIC.get(param)

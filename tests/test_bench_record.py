@@ -1,6 +1,8 @@
-"""tools/bench_record.py: its argument checks and its quartiles; no benchmark is run."""
+"""tools/bench_record.py: its argument checks, its quartiles and its refusal of a
+bad run; no benchmark is run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -70,3 +72,34 @@ class TestParseArgs:
             bench_record.parse_args([f"a={tmp_path}"])
         assert exit_.value.code == 2
         assert "holds no perfbench/run.py" in capsys.readouterr().err
+
+
+def _fake_checkout(root, last_line):
+    """A checkout whose perfbench/run.py prints a provenance line, then `last_line`."""
+    (root / "perfbench").mkdir()
+    detail = json.dumps({"exact": {}, "provenance": {}})
+    (root / "perfbench" / "run.py").write_text(f"print({detail!r})\nprint({last_line!r})\n")
+    return root
+
+
+class TestRunOnce:
+    def test_a_last_line_not_json_exits_naming_the_run(self, bench_record, tmp_path):
+        root = _fake_checkout(tmp_path, "Traceback (most recent call last):")
+        with pytest.raises(SystemExit) as exit_:
+            bench_record.run_once(root, "dica-queen7", 7, ["op_s.p50"])
+        message = str(exit_.value.code)
+        assert message.startswith(f"error: {root} dica-queen7 seed 7: last line is not strict JSON")
+
+    def test_an_incorrect_run_exits(self, bench_record, tmp_path):
+        result = {"correct": False, "attempted": 1, "failed": 1, "metrics": {"op_s.p50": {"value": 1.0, "unit": "s"}}}
+        root = _fake_checkout(tmp_path, json.dumps(result))
+        with pytest.raises(SystemExit) as exit_:
+            bench_record.run_once(root, "ga-myciel5", 3, ["op_s.p50"])
+        assert "ga-myciel5 seed 3: correct is False" in str(exit_.value.code)
+
+    def test_a_good_run_is_recorded(self, bench_record, tmp_path):
+        result = {"correct": True, "attempted": 2, "failed": 0, "metrics": {"op_s.p50": {"value": 1.5, "unit": "s"}}}
+        root = _fake_checkout(tmp_path, json.dumps(result))
+        run = bench_record.run_once(root, "harness-easy", 5, ["op_s.p50"])
+        assert run["metrics"] == {"op_s.p50": 1.5} and run["units"] == {"op_s.p50": "s"}
+        assert (run["seed"], run["correct"], run["exact"], run["provenance"]) == (5, True, {}, {})

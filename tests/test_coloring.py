@@ -263,9 +263,10 @@ def _assert_counts_match(g, rows):
 class TestBatchCounts:
     @pytest.fixture(params=["popcount", "swar"])
     def popcount(self, request, monkeypatch):
-        # numpy 1.x has no bitwise_count, so its word count is the SWAR one
+        # numpy 1.x has no bitwise_count, so its word count is the unpacked one;
+        # the case keeps its earlier "swar" id
         if request.param == "swar":
-            monkeypatch.setattr(coloring, "_popcount", coloring._swar_popcount)
+            monkeypatch.setattr(coloring, "_popcount", coloring._unpacked_popcount)
 
     @pytest.mark.parametrize("palette", [1, 63, 64, 65])
     @pytest.mark.parametrize("lowest", [0, 1])
@@ -307,7 +308,7 @@ class TestBatchCounts:
         )
         words = np.concatenate((words, np.random.default_rng(3).integers(0, 2**64, 200, dtype=np.uint64)))
         want = [bin(w).count("1") for w in words.tolist()]
-        assert coloring._swar_popcount(words).tolist() == want
+        assert coloring._unpacked_popcount(words).tolist() == want
         assert np.asarray(coloring._popcount(words)).tolist() == want
 
     def test_no_rows_and_wrong_width(self):

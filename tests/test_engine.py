@@ -138,14 +138,13 @@ def _counted_rows(gen, g, proper, count, params):
 
 
 def _offered(g, rows, params):
-    """A BestSoFar offered the first cheapest of `rows`, counted by batch_counts."""
-    counts = batch_counts(g, np.asarray(rows))
+    """A BestSoFar offered `rows`, counted by batch_counts."""
     best = BestSoFar(params)
-    best.offer_cheapest(rows, cost_array(*counts, params), counts)
+    best.offer(rows, batch_counts(g, np.asarray(rows)))
     return best
 
 
-class TestOfferCheapest:
+class TestOffer:
     def test_matches_offering_each_in_turn(self):
         g = mycielski_graph(4)
         proper = np.array([1, 2, 1, 2, 3, 1, 2, 1, 2, 3, 4])
@@ -153,18 +152,20 @@ class TestOfferCheapest:
         gen = np.random.default_rng(13)
         for trial in range(300):
             count = int(gen.integers(1, 12))
-            # float64 costs with their counts, against the exact costs offered
-            # one by one with each row's own counts; a penalty of 0.5 ties
+            # two batches with their counts, against each row offered as a
+            # one-row batch with its own counts; a penalty of 0.5 ties
             # clashing rows with proper ones, and an int penalty keeps clashing
             # costs int
             params = CostParams((0.5, float(g.n), 2)[trial % 3])
             first, first_counts, first_costs, first_exact = _counted_rows(gen, g, proper, count, params)
             later, later_counts, later_costs, later_exact = _counted_rows(gen, g, proper, count, params)
             one, each = BestSoFar(params), BestSoFar(params)
-            one.offer_cheapest(first, first_costs, first_counts)
-            one.offer_cheapest(later, later_costs, later_counts)
+            for rows, counts, costs in ((first, first_counts, first_costs), (later, later_counts, later_costs)):
+                returned = one.offer(rows, counts)
+                assert returned.dtype == np.float64 and np.array_equal(returned, costs)
             for row, c in zip(list(first) + list(later), first_exact + later_exact):
-                each.offer(row, c, (count_conflicts(g, row), distinct_colours(row)))
+                counts = (np.array([count_conflicts(g, row)]), np.array([distinct_colours(row)]))
+                assert each.offer([row], counts).tolist() == [c]
             assert np.array_equal(one.row, each.row)
             assert (one.cost, type(one.cost), one.conflicts, one.used) == (
                 each.cost, type(each.cost), each.conflicts, each.used
@@ -188,8 +189,7 @@ class TestOfferCheapest:
         rows = [np.array([1, 2, 3]), np.array([1, 1, 2])]
         best = _offered(g, rows, params)
         later = np.array([[3, 2, 1], [2, 2, 2]])
-        counts = batch_counts(g, later)
-        best.offer_cheapest(list(later), cost_array(*counts, params), counts)
+        assert best.offer(list(later), batch_counts(g, later)).tolist() == [3.0, 10.0]
         assert np.array_equal(best.row, rows[0]) and best.cost == 3 and type(best.cost) is int
         assert (best.conflicts, best.used) == (0, 3)
 

@@ -300,13 +300,15 @@ class TestRunGa:
 
 
 def _counts(g, row):
-    return count_conflicts(g, row), distinct_colours(row)
+    """One row's counts as the one-element arrays of a one-row batch."""
+    return np.array([count_conflicts(g, row)]), np.array([distinct_colours(row)])
 
 
 def _child_by_child_ga(g, params, _inspect=None):
     """The generation loop child by child: the random draws `breed` makes, in the
     same order and shapes, then each child built on its own by `crossover_2pt_at`
-    or a copy and a one-cell assignment, scored by `cost` and offered as the best."""
+    or a copy and a one-cell assignment, scored by `cost` and offered as the best
+    as a one-row batch."""
     params.validate()
     rng = np.random.default_rng(params.rng_seed)
     k_max = resolve_k_max(g, params.k_max)
@@ -315,7 +317,7 @@ def _child_by_child_ga(g, params, _inspect=None):
     costs = [cost(g, c, cost_params) for c in population]
     best = BestSoFar(cost_params)
     for row, c in zip(population, costs):
-        best.offer(row, c, _counts(g, row))
+        best.offer([row], _counts(g, row))
     size = params.population_size
     n_children = size - params.elitism_count
     pairs = (n_children + 1) // 2
@@ -343,7 +345,7 @@ def _child_by_child_ga(g, params, _inspect=None):
             child_cost = cost(g, child, cost_params)
             new_pop.append(child)
             new_costs.append(child_cost)
-            best.offer(child, child_cost, _counts(g, child))
+            best.offer([child], _counts(g, child))
         population, costs = new_pop, new_costs
         if _inspect is not None:
             _inspect("end", generation, population, costs)

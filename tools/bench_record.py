@@ -10,12 +10,16 @@ to go first, so that two labels recorded together form alternating pairs.
 Each BENCH_<label>.json, written to the current directory, holds the median
 and quartiles of every end-to-end metric per workload, every run's metrics
 and exact counts, and the provenance line of the runs (Python, numpy, CPU,
-core count and commit).  Uses the standard library only.
+core count and commit).  Each run is checked as tools/bench_smoke.py checks
+one (exit code, a strict JSON object last, `correct`, every end-to-end
+metric); the first that fails stops the recording with its checkout,
+workload and seed named.  Uses the standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import statistics
 import subprocess
@@ -25,6 +29,10 @@ from pathlib import Path
 SEED_BASE = 31
 SEEDS = 10
 SECONDS = 40.0
+
+_spec = importlib.util.spec_from_file_location("bench_smoke", Path(__file__).with_name("bench_smoke.py"))
+bench_smoke = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_smoke)
 
 
 def parse_args(argv):
@@ -44,13 +52,16 @@ def parse_args(argv):
     return args
 
 
-def run_once(root: Path, workload: str, seed: int) -> dict:
-    """One perfbench run: its result line and the provenance line before it."""
+def run_once(root: Path, workload: str, seed: int, expected: list[str]) -> dict:
+    """One perfbench run: its result line and the provenance line before it.
+    Exits naming the run if `bench_smoke.check_run` finds it failed or its
+    result without a metric of `expected`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.exit(f"error: {' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    problems = bench_smoke.check_run(proc.returncode, proc.stdout, expected)
+    if problems:
+        sys.exit(f"error: {root} {workload} seed {seed}: {'; '.join(problems)}\n{proc.stderr[-2000:]}")
     detail, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
     return {
         "seed": seed,
@@ -77,14 +88,16 @@ def summarize(runs: list[dict]) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     first = next(iter(args.checkouts.values()))
-    workloads = [w["name"] for w in json.loads((first / "BENCHMARK.json").read_text())["workloads"]]
+    spec = json.loads((first / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    expected = [m["name"] for m in spec["end_to_end"]]
     runs = {label: {w: [] for w in workloads} for label in args.checkouts}
     order = list(args.checkouts)
     seeds = [SEED_BASE + i for i in range(SEEDS)]
     for i, seed in enumerate(seeds):
         for workload in workloads:
             for label in order if i % 2 == 0 else order[::-1]:
-                run = run_once(args.checkouts[label], workload, seed)
+                run = run_once(args.checkouts[label], workload, seed, expected)
                 runs[label][workload].append(run)
                 print(f"{label} {workload} seed {seed}: op_s.p50 {run['metrics']['op_s.p50']:.4f}", file=sys.stderr)
     for label, by_workload in runs.items():
