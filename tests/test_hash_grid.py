@@ -20,7 +20,7 @@ def test_one_cell_hashes_the_same_twice_and_changes_with_the_seed(hash_grid):
     cell = dict(graphs=[("queen_graph", 5)], kwargs=[{"population_size": 20, "decades": 3}])
     first = hash_grid.grid_digests(seeds=[1], **cell)
     assert sorted(first) == ["dica", "ga"]
-    assert all(len(d) == 64 and int(d, 16) >= 0 for d in first.values())
+    assert all(len(d) == 64 for d in first.values())
     assert hash_grid.grid_digests(seeds=[1], **cell) == first
     other = hash_grid.grid_digests(seeds=[2], **cell)
     assert all(other[engine] != first[engine] for engine in first)
