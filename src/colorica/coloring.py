@@ -86,11 +86,6 @@ def cost_array(conflicts: np.ndarray, used: np.ndarray, params: CostParams) -> n
     return conflicts * float(params.penalty) + used
 
 
-def exact_costs(conflicts: np.ndarray, used: np.ndarray, params: CostParams) -> list:
-    """The list of each row's `exact_cost`, int or float alike, from count arrays."""
-    return [exact_cost(c, u, params) for c, u in zip(conflicts.tolist(), used.tolist())]
-
-
 def _unpacked_popcount(words: np.ndarray) -> np.ndarray:
     """The set bits of each uint64 word, summed over its unpacked bytes."""
     return np.unpackbits(words.view(np.uint8)).reshape(words.size, 64).sum(axis=1)

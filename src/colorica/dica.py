@@ -128,7 +128,7 @@ def form_empires(
 
     max_imp_cost = max(costs[i] for i in imp_idx)
     shifted = [costs[i] - max_imp_cost for i in imp_idx]
-    total = sum(shifted)
+    total = math.fsum(shifted)
     if total == 0:
         powers = [1.0 / n_imperialists] * n_imperialists
     else:
@@ -214,9 +214,7 @@ def colony_step(
     return children
 
 
-def descend(
-    g: Graph, cols: np.ndarray, steps: int, rng: np.random.Generator
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+def descend(g: Graph, cols: np.ndarray, steps: int, rng: np.random.Generator) -> np.ndarray:
     """Clash-directed swap descent on each row of a (count, n) array of colourings.
 
     Each step, in every row that still clashes, draws a clashing vertex v,
@@ -228,9 +226,8 @@ def descend(
     colour multiset, so a proper colouring comes back unchanged and no cost
     rises.  Rows go in row order, in batches whose table stays near BATCH_CELLS
     cells, or alone when one row's table (palette width x n) is larger; then
-    a proper row is not tabled.  Returns new colourings and their (conflicts,
-    used) integer count arrays, as `coloring.batch_counts` gives them, the
-    clashes counted from the same table; the input is left untouched.
+    a proper row is not tabled.  Returns the new (count, n) colourings; the
+    input is left untouched.
     """
     out = np.array(cols)
     count, n = out.shape
@@ -238,12 +235,12 @@ def descend(
     eu, ev = g.edge_index_arrays
     per_batch = max(1, BATCH_CELLS // max(width * n, 2 * eu.size))
     if count > per_batch:
-        parts = [descend(g, out[i : i + per_batch], steps, rng) for i in range(0, count, per_batch)]
-        rows, counts = zip(*parts)
-        return np.concatenate(rows), tuple(np.concatenate(c) for c in zip(*counts))
+        return np.concatenate(
+            [descend(g, out[i : i + per_batch], steps, rng) for i in range(0, count, per_batch)]
+        )
     if width * n > BATCH_CELLS and not (out[:, eu] == out[:, ev]).any():
         # a batch with no clash takes no step and draws nothing: skip the table
-        return out, batch_counts(g, out)
+        return out
     packed = g.packed_adjacency
     rows = np.arange(count)
     vertex = np.arange(n)
@@ -287,10 +284,7 @@ def descend(
         gain = near_um.view(np.int8) - near_v[move].view(np.int8)
         by_colour[r, am] += gain
         by_colour[r, bm] -= gain
-    clashes = table[coloured + vertex].sum(axis=1) // 2
-    present = np.zeros((count, width), dtype=bool)
-    present[rows[:, None], out] = True
-    return out, (clashes, np.count_nonzero(present, axis=1))
+    return out
 
 
 def exchange_if_better(empire: Empire) -> bool:
@@ -313,7 +307,7 @@ def exchange_if_better(empire: Empire) -> bool:
 
 def empire_total_cost(empire: Empire, xi: float) -> float:
     mean = (
-        sum(empire.colony_costs) / len(empire.colony_costs)
+        math.fsum(empire.colony_costs) / len(empire.colony_costs)
         if empire.colony_costs
         else 0.0
     )
@@ -402,8 +396,8 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     its exchange, and offers the first cheapest as the best.  Once every
     empire has made its exchange, and before the `post_exchange` inspection,
     all imperialists get IMPERIALIST_DESCENT_STEPS steps of `descend`
-    together, drawn from the run's own RNG, and are offered with the counts
-    it returns; each imperialist's cached cost becomes their float64 cost.
+    together, drawn from the run's own RNG, and are counted and offered the
+    same way; each imperialist's cached cost becomes its float64 cost.
     """
     params.validate()
     rng = np.random.default_rng(params.rng_seed)
@@ -432,10 +426,10 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
             empire.colony_costs[:] = costs[start : start + size]
             start += size
             exchange_if_better(empire)
-        imperialists, counts = descend(
+        imperialists = descend(
             g, np.array([e.imperialist for e in empires]), IMPERIALIST_DESCENT_STEPS, rng
         )
-        costs = best.offer(imperialists, counts).tolist()
+        costs = best.offer(imperialists, batch_counts(g, imperialists)).tolist()
         for empire, imp, imp_cost in zip(empires, imperialists, costs):
             empire.imperialist, empire.imperialist_cost = imp, imp_cost
         if _inspect is not None:

@@ -146,10 +146,11 @@ def spin(wheel: tuple[np.ndarray, float], r):
 
 class BestSoFar:
     """The cheapest colouring a run has been offered, as its own copy, with its
-    exact cost and counts, and the per-iteration best costs.  Rows come in
-    batches with their (conflicts, used) counts, from which `offer` makes the
-    search costs; the kept row's exact cost, an int when it is proper, is taken
-    from its counts and `cost_params`; it never calls `cost`."""
+    exact cost and counts, and the per-iteration best costs.  Every batch
+    either engine scores comes here with its `coloring.batch_counts`, from
+    which `offer` makes the float64 search costs; only the kept row's exact
+    cost, an int when it is proper, is taken, from its counts and
+    `cost_params`; it never calls `cost`."""
 
     def __init__(self, cost_params: CostParams) -> None:
         self.cost_params = cost_params

@@ -15,7 +15,7 @@ import numpy as np
 
 # `cost` is not called here but stays importable as colorica.ga.cost, a name
 # the benchmark's probe and its tests look up
-from .coloring import BATCH_CELLS, batch_counts, cost, exact_costs  # noqa: F401
+from .coloring import BATCH_CELLS, batch_counts, cost  # noqa: F401
 from .engine import (
     TERMINATED_DECADES,
     TERMINATED_EARLY_STOP,
@@ -150,8 +150,9 @@ def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
     `elitism_count` cheapest rows by `rank`, carried over unchanged, then the
     children), and one float64 array of its costs.  The initial population and
     each generation's children are counted by one `batch_counts` call each and
-    offered to `BestSoFar` with their counts, which gives their costs, keeps
-    the first cheapest and takes its exact cost, int or float, from its counts.
+    offered to `BestSoFar` with their counts, which gives their costs and keeps
+    the first cheapest.  `_inspect` gets the generation as a list of rows and
+    its costs as Python floats, as dica's empires hold them.
     """
     params.validate()
     rng = np.random.default_rng(params.rng_seed)
@@ -160,28 +161,23 @@ def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
 
     population = init_population(g, params, rng)
     pool = np.array(population)
-    counts = batch_counts(g, pool)
-    costs = best.offer(pool, counts)
+    costs = best.offer(pool, batch_counts(g, pool))
     if _inspect is None:
+        # only `_inspect` sees the rows as a list: each elite carried over as
+        # the same object, each child a new one
         population = None
-    else:
-        # only `_inspect` sees the rows as a list (each elite carried over as
-        # the same object, each child a new one) and the costs typed as `cost`
-        # types them
-        exact = exact_costs(*counts, best.cost_params)
     kept = params.elitism_count
     elite = rank(costs)[:kept]
 
     for generation in range(params.generations):
         pool = breed(pool, costs, elite, k_max, params, rng)
-        counts = batch_counts(g, pool[kept:])
-        costs = np.concatenate((costs[elite], best.offer(pool[kept:], counts)))
+        children = pool[kept:]
+        costs = np.concatenate((costs[elite], best.offer(children, batch_counts(g, children))))
         if _inspect is not None:
             # each child its own copy: a carried row that was a view would keep
             # its whole generation's array alive
-            population = [population[j] for j in elite] + [row.copy() for row in pool[kept:]]
-            exact = [exact[j] for j in elite] + exact_costs(*counts, best.cost_params)
-            _inspect("end", generation, population, exact)
+            population = [population[j] for j in elite] + [row.copy() for row in children]
+            _inspect("end", generation, population, costs.tolist())
         elite = rank(costs)[:kept]
         if best.end_iteration(params):
             return best.result(TERMINATED_EARLY_STOP)

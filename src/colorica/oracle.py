@@ -62,7 +62,7 @@ def _search(g: Graph, k: int, budget: int) -> tuple[bool, int]:
     # as a bit mask (bit c for colour c, tried lowest first) without the colours
     # its earlier neighbours hold, and the bit of the highest colour used before
     # it (bit 0 before any); the stack holds that state for positions 0..i-1
-    palette = (2 << k) - 2 if k >= 1 else 0  # the bits of colours 1..k
+    palette = (2 << k) - 2  # the bits of colours 1..k
     stack = []
     i, ceiling = 0, 1
     untried = 0b10 & palette

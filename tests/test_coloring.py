@@ -11,7 +11,7 @@ from colorica.coloring import (
     cost_array,
     count_conflicts,
     distinct_colours,
-    exact_costs,
+    exact_cost,
     format_colouring,
     is_valid,
 )
@@ -148,9 +148,9 @@ class TestCost:
 
 def _batch_costs(g, rows, params):
     """Each row's exact cost, clash count and colour count, as lists, from one
-    `batch_counts` call and `exact_costs`."""
-    conflicts, used = batch_counts(g, rows)
-    return exact_costs(conflicts, used, params), conflicts.tolist(), used.tolist()
+    `batch_counts` call and `exact_cost` per row."""
+    conflicts, used = (counts.tolist() for counts in batch_counts(g, rows))
+    return [exact_cost(c, u, params) for c, u in zip(conflicts, used)], conflicts, used
 
 
 def _assert_rows_match(g, rows, params):
@@ -169,7 +169,7 @@ def _assert_rows_match(g, rows, params):
 
 
 class TestBatchCosts:
-    """Costs from `batch_counts` through `exact_costs` and `cost_array`."""
+    """Costs from `batch_counts` through `exact_cost` per row and `cost_array`."""
 
     def test_matches_one_row_functions_on_random_graphs(self):
         rng = np.random.default_rng(31)

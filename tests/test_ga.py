@@ -348,7 +348,7 @@ def _child_by_child_ga(g, params, _inspect=None):
             best.offer([child], _counts(g, child))
         population, costs = new_pop, new_costs
         if _inspect is not None:
-            _inspect("end", generation, population, costs)
+            _inspect("end", generation, population, [float(c) for c in costs])
         if best.end_iteration(params):
             return best.result(TERMINATED_EARLY_STOP)
     return best.result(TERMINATED_DECADES)
@@ -480,8 +480,8 @@ class TestBreed:
 
 
 class TestInspectOnlyObserves:
-    """run_ga keeps the per-row list and the typed costs only for `_inspect`;
-    building them must not change the run."""
+    """run_ga keeps the per-row list only for `_inspect`; building it must not
+    change the run."""
 
     GRAPHS = {"k6": complete_graph(6), "myciel3": mycielski_graph(4), "queen4": queen_graph(4)}
 
@@ -511,6 +511,7 @@ class TestInspectOnlyObserves:
         def watch(stage, generation, population, costs):
             seen.append(min(costs))
             assert len(population) == len(costs) == 16
+            assert all(type(c) is float for c in costs)
             assert [cost(g, row, cp) for row in population] == costs
 
         result = run_ga(g, params, _inspect=watch)

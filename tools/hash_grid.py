@@ -6,12 +6,16 @@ colorica is imported from the src/ of the checkout that holds this script.
 For every graph in GRAPHS, seed in SEEDS and keyword set in KWARGS, in that
 nesting order, it takes `repr(run_dica(g, DicaParams(rng_seed=s, **kw)))` and
 `repr(run_ga(g, GaParams(rng_seed=s, generations=30, **kw)))` (ga drops
-dica's `decades`), feeds each engine's reprs in turn to one sha256 and prints
+dica's `decades`) and feeds each engine's reprs in turn to one sha256.  It
+does the same over PENALTY_GRAPHS, SEEDS and PENALTY_KWARGS, whose penalties
+are not dyadic fractions, so float rounding in the costs shows.  It prints
 
     dica <sha256>
     ga <sha256>
+    dica-penalty <sha256>
+    ga-penalty <sha256>
 
-A change that keeps results bit-identical prints the same two lines before
+A change that keeps results bit-identical prints the same four lines before
 and after.  Uses the standard library and colorica only.
 """
 
@@ -26,6 +30,10 @@ GRAPHS = (("complete_graph", 15), ("mycielski_graph", 5), ("mycielski_graph", 6)
           ("queen_graph", 5), ("queen_graph", 7))
 SEEDS = (1, 2, 31, 101)
 KWARGS = ({}, {"k_max": 7}, {"population_size": 60, "decades": 30})
+PENALTY_GRAPHS = (("complete_graph", 15), ("mycielski_graph", 5), ("queen_graph", 5),
+                  ("queen_graph", 7))
+PENALTY_KWARGS = ({"penalty": 0.1}, {"penalty": 1 / 3, "k_max": 7},
+                  {"penalty": 0.7, "population_size": 60, "decades": 30})
 GA_GENERATIONS = 30
 
 
@@ -50,6 +58,8 @@ def main() -> int:
     sys.path.insert(0, str(SRC))
     for engine, digest in grid_digests(GRAPHS, SEEDS, KWARGS).items():
         print(f"{engine} {digest}")
+    for engine, digest in grid_digests(PENALTY_GRAPHS, SEEDS, PENALTY_KWARGS).items():
+        print(f"{engine}-penalty {digest}")
     return 0
 
 
