@@ -21,11 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coloring import BATCH_CELLS, batch_counts
-
 # `cost` is no longer called here but stays importable as colorica.dica.cost,
 # a name the benchmark's probe and its tests look up
-from .coloring import cost  # noqa: F401
+from .coloring import BATCH_CELLS, cost  # noqa: F401
 from .engine import (
     TERMINATED_DECADES,
     TERMINATED_EARLY_STOP,
@@ -62,8 +60,8 @@ class DicaParams(SearchParams):
     damp_ratio: float = 0.90
     xi: float = 0.1
 
-    def validate(self) -> None:
-        super().validate()
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.population_size < 2:
             raise ValueError(f"population_size must be >= 2, got {self.population_size}")
         if not 0.0 < self.imperialist_fraction < 1.0:
@@ -391,20 +389,19 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     """Full search loop; deterministic for a given (graph, params) pair.
 
     Every decade all colonies, stacked in empire order, take one `colony_step`
-    and are counted together by `batch_counts`; one `BestSoFar.offer` of the
-    counts gives their float64 costs, which go back into each Empire before
-    its exchange, and offers the first cheapest as the best.  Once every
-    empire has made its exchange, and before the `post_exchange` inspection,
-    all imperialists get IMPERIALIST_DESCENT_STEPS steps of `descend`
-    together, drawn from the run's own RNG, and are counted and offered the
-    same way; each imperialist's cached cost becomes its float64 cost.
+    and are offered together to `BestSoFar`, which counts them, keeps the
+    first cheapest and returns their float64 costs; these go back into each
+    Empire before its exchange.  Once every empire has made its exchange, and
+    before the `post_exchange` inspection, all imperialists get
+    IMPERIALIST_DESCENT_STEPS steps of `descend` together, drawn from the
+    run's own RNG, and are offered the same way; each imperialist's cached
+    cost becomes its float64 cost.
     """
-    params.validate()
     rng = np.random.default_rng(params.rng_seed)
-    best = BestSoFar(params.cost_params(g))
+    best = BestSoFar(g, params)
 
     population = init_population(g, params, rng)
-    costs = best.offer(population, batch_counts(g, np.array(population))).tolist()
+    costs = best.offer(population).tolist()
 
     n_imp = max(1, round(params.imperialist_fraction * params.population_size))
     empires = form_empires(population, costs, n_imp, rng)
@@ -419,7 +416,7 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
             revolution_rate,
             rng,
         )
-        costs = best.offer(children, batch_counts(g, children)).tolist()
+        costs = best.offer(children).tolist()
         start = 0
         for empire, size in zip(empires, sizes):
             empire.colonies[:] = children[start : start + size]
@@ -429,7 +426,7 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
         imperialists = descend(
             g, np.array([e.imperialist for e in empires]), IMPERIALIST_DESCENT_STEPS, rng
         )
-        costs = best.offer(imperialists, batch_counts(g, imperialists)).tolist()
+        costs = best.offer(imperialists).tolist()
         for empire, imp, imp_cost in zip(empires, imperialists, costs):
             empire.imperialist, empire.imperialist_cost = imp, imp_cost
         if _inspect is not None:
@@ -439,7 +436,7 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
         revolution_rate *= params.damp_ratio
         if _inspect is not None:
             _inspect("end", decade, empires)
-        if best.end_iteration(params):
+        if best.end_iteration():
             return best.result(TERMINATED_EARLY_STOP)
         if len(empires) == 1:
             return best.result(TERMINATED_SINGLE_EMPIRE)

@@ -1,8 +1,8 @@
-"""What both population engines share: the common parameters, the default
-penalty, the initial population, the cost-then-index ranking, the cut points
-and segment copy of assimilation and crossover (one row or a batch), the
-roulette wheel, the best-so-far, which costs each batch offered from its
-counts and keeps the first cheapest row, with its early stop, and the result.
+"""What both population engines share: the common parameters, checked when
+made, the default penalty, the initial population, the cost-then-index
+ranking, the cut points and segment copy of assimilation and crossover (one
+row or a batch), the roulette wheel, the result, and `BestSoFar`, the run
+contract: an engine only makes batches of rows and offers them.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import CostParams, cost_array, exact_cost
+from .coloring import CostParams, batch_counts, cost_array, exact_cost
 from .graphs import MAX_VERTICES, Graph, max_degree
 
 TERMINATED_DECADES = "decades_exhausted"
@@ -30,7 +30,7 @@ MAX_POPULATION_CELLS = 1 << 23
 
 @dataclass(frozen=True)
 class SearchParams:
-    """The parameters both engines take; each engine adds its own on a subclass."""
+    """The parameters both engines take, checked when made; each engine subclasses it."""
 
     population_size: int = 300
     k_max: int | None = None
@@ -39,7 +39,7 @@ class SearchParams:
     known_chromatic: int | None = None
     rng_seed: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.population_size < 1:
             raise ValueError(f"population_size must be >= 1, got {self.population_size}")
         # no colouring of a graph within the vertex bound needs more colours
@@ -51,6 +51,8 @@ class SearchParams:
             raise ValueError(f"known_chromatic must be >= 1, got {self.known_chromatic}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        if self.early_stop_at_chromatic and self.known_chromatic is None:
+            raise ValueError("early_stop_at_chromatic needs known_chromatic")
 
     def cost_params(self, g: Graph) -> CostParams:
         """The given penalty, else `CostParams.for_graph`'s; refused if the worst
@@ -145,23 +147,26 @@ def spin(wheel: tuple[np.ndarray, float], r):
 
 
 class BestSoFar:
-    """The cheapest colouring a run has been offered, as its own copy, with its
-    exact cost and counts, and the per-iteration best costs.  Every batch
-    either engine scores comes here with its `coloring.batch_counts`, from
-    which `offer` makes the float64 search costs; only the kept row's exact
-    cost, an int when it is proper, is taken, from its counts and
-    `cost_params`; it never calls `cost`."""
+    """The run contract both engines share.  Made from the graph and the run's
+    params, it counts every batch of rows it is offered with
+    `coloring.batch_counts`, turns the counts into float64 search costs, and
+    keeps its own copy of the cheapest row so far, with that row's exact cost
+    (an int when it is proper) and counts, and the per-iteration best costs.
+    It knows the early-stop rule; it never calls `cost`."""
 
-    def __init__(self, cost_params: CostParams) -> None:
-        self.cost_params = cost_params
+    def __init__(self, g: Graph, params: SearchParams) -> None:
+        self.g = g
+        self.cost_params = params.cost_params(g)
+        self.stop_at = params.known_chromatic if params.early_stop_at_chromatic else None
         self.history: list[float] = []
         self.cost = float("inf")
 
-    def offer(self, rows, counts) -> np.ndarray:
-        """The float64 `cost_array` of `counts`, the (conflicts, used) int64
-        arrays of `coloring.batch_counts` for `rows`; a copy of the first
-        cheapest row is kept if it is strictly below the best so far, which is
-        what offering each row in turn would keep."""
+    def offer(self, rows) -> np.ndarray:
+        """The float64 costs of `rows`, a (count, n) array or a list of rows,
+        from their `batch_counts`; a copy of the first cheapest row is kept if
+        it is strictly below the best so far, which is what offering each row
+        in turn would keep."""
+        counts = batch_counts(self.g, rows)
         costs = cost_array(*counts, self.cost_params)
         i = int(np.argmin(costs))
         if costs[i] < self.cost:
@@ -170,13 +175,11 @@ class BestSoFar:
             self.cost = exact_cost(self.conflicts, self.used, self.cost_params)
         return costs
 
-    def end_iteration(self, params: SearchParams) -> bool:
+    def end_iteration(self) -> bool:
         """Log the best cost of a finished iteration; True if the run asked to stop
         at a known chromatic number and a proper colouring within it is in hand."""
         self.history.append(self.cost)
-        chi = params.known_chromatic
-        asked = params.early_stop_at_chromatic and chi is not None
-        return asked and self.conflicts == 0 and self.used <= chi
+        return self.stop_at is not None and self.conflicts == 0 and self.used <= self.stop_at
 
     def result(self, terminated_by: str) -> RunResult:
         return RunResult(

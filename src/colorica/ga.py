@@ -4,7 +4,7 @@ Generational loop with roulette parent selection, two-point crossover,
 single-position mutation and a small elite carried over unchanged.  A
 generation's children are drawn, built and scored as one array: one spin of
 one roulette wheel picks every parent pair, each other random choice is one
-call, and one `batch_counts` call scores them all.
+call, and one offer to `BestSoFar` scores them all.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 # `cost` is not called here but stays importable as colorica.ga.cost, a name
 # the benchmark's probe and its tests look up
-from .coloring import BATCH_CELLS, batch_counts, cost  # noqa: F401
+from .coloring import BATCH_CELLS, cost  # noqa: F401
 from .engine import (
     TERMINATED_DECADES,
     TERMINATED_EARLY_STOP,
@@ -41,8 +41,8 @@ class GaParams(SearchParams):
     selection_probability: float = 0.50
     elitism_count: int = 1
 
-    def validate(self) -> None:
-        super().validate()
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.generations < 1:
             raise ValueError(f"generations must be >= 1, got {self.generations}")
         if not 0.0 <= self.mutation_rate <= 1.0:
@@ -149,36 +149,34 @@ def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
     A generation is one (size, n) array, built by one `breed` call (its
     `elitism_count` cheapest rows by `rank`, carried over unchanged, then the
     children), and one float64 array of its costs.  The initial population and
-    each generation's children are counted by one `batch_counts` call each and
-    offered to `BestSoFar` with their counts, which gives their costs and keeps
-    the first cheapest.  `_inspect` gets the generation as a list of rows and
-    its costs as Python floats, as dica's empires hold them.
+    each generation's children are offered to `BestSoFar`, which counts them,
+    keeps the first cheapest and returns their costs.  `_inspect` gets the
+    generation as a list of rows and its costs as Python floats, as dica's
+    empires hold them.
     """
-    params.validate()
     rng = np.random.default_rng(params.rng_seed)
     k_max = resolve_k_max(g, params.k_max)
-    best = BestSoFar(params.cost_params(g))
+    best = BestSoFar(g, params)
 
     population = init_population(g, params, rng)
     pool = np.array(population)
-    costs = best.offer(pool, batch_counts(g, pool))
+    costs = best.offer(pool)
     if _inspect is None:
         # only `_inspect` sees the rows as a list: each elite carried over as
         # the same object, each child a new one
         population = None
     kept = params.elitism_count
-    elite = rank(costs)[:kept]
 
     for generation in range(params.generations):
+        elite = rank(costs)[:kept]
         pool = breed(pool, costs, elite, k_max, params, rng)
         children = pool[kept:]
-        costs = np.concatenate((costs[elite], best.offer(children, batch_counts(g, children))))
+        costs = np.concatenate((costs[elite], best.offer(children)))
         if _inspect is not None:
             # each child its own copy: a carried row that was a view would keep
             # its whole generation's array alive
             population = [population[j] for j in elite] + [row.copy() for row in children]
             _inspect("end", generation, population, costs.tolist())
-        elite = rank(costs)[:kept]
-        if best.end_iteration(params):
+        if best.end_iteration():
             return best.result(TERMINATED_EARLY_STOP)
     return best.result(TERMINATED_DECADES)

@@ -194,6 +194,15 @@ class TestSolve:
         assert code == 0
         assert "terminated_by: early_stop" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("algo", ["dica", "ga"])
+    def test_early_stop_without_chromatic_exits_one(self, algo, tmp_path, capsys):
+        # without a chromatic number there is nothing to stop at
+        path = _write_k3(tmp_path)
+        assert main(["solve", str(path), "--algo", algo, "--early-stop", *FAST]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: early_stop_at_chromatic needs known_chromatic\n"
+        assert captured.out == ""
+
     def test_chromatic_out_of_range_exits_one(self, tmp_path):
         path = _write_k3(tmp_path)
         assert main(["solve", str(path), "--chromatic", "9"]) == 1

@@ -773,7 +773,7 @@ class TestRunDica:
     )
     def test_invalid_params(self, bad):
         with pytest.raises(ValueError):
-            DicaParams(**bad).validate()
+            DicaParams(**bad)
 
 
 class TestInspectOnlyObserves:

@@ -1,5 +1,6 @@
 """The shared engine core: the ranking and first-cheapest rules, the roulette
-wheel, the segment copy, the penalty bound, the seed and the population bound."""
+wheel, the segment copy, the params checks, the penalty bound, the seed and
+the population bound."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from colorica.coloring import (
     cost,
     cost_array,
     count_conflicts,
-    distinct_colours,
 )
+from colorica.dica import DicaParams
 from colorica.engine import (
     MAX_POPULATION_CELLS,
     BestSoFar,
@@ -24,6 +25,7 @@ from colorica.engine import (
     roulette_wheel,
     spin,
 )
+from colorica.ga import GaParams
 from colorica.graphs import MAX_VERTICES, complete_graph, mycielski_graph
 
 
@@ -90,8 +92,8 @@ class TestCopySegments:
 class TestSeed:
     def test_negative_seed_is_refused_by_name(self):
         with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
-            SearchParams(rng_seed=-1).validate()
-        SearchParams(rng_seed=0).validate()
+            SearchParams(rng_seed=-1)
+        SearchParams(rng_seed=0)
 
 
 class TestPopulationBound:
@@ -127,20 +129,19 @@ class TestRank:
 
 
 def _counted_rows(gen, g, proper, count, params):
-    """Rows, some proper, with their `batch_counts`, their `cost_array` and the
+    """Rows, some proper, with the `cost_array` of their `batch_counts` and the
     exact costs `cost` gives them."""
     rows = gen.integers(1, 5, size=(count, g.n))
     shifted = gen.random(count) < 0.4
     # a proper colouring with every colour moved up stays proper
     rows[shifted] = proper + gen.integers(0, 3, size=(int(shifted.sum()), 1))
-    counts = batch_counts(g, rows)
-    return rows, counts, cost_array(*counts, params), [cost(g, row, params) for row in rows]
+    return rows, cost_array(*batch_counts(g, rows), params), [cost(g, row, params) for row in rows]
 
 
-def _offered(g, rows, params):
-    """A BestSoFar offered `rows`, counted by batch_counts."""
-    best = BestSoFar(params)
-    best.offer(rows, batch_counts(g, np.asarray(rows)))
+def _offered(g, rows, penalty):
+    """A BestSoFar at `penalty` offered `rows`."""
+    best = BestSoFar(g, SearchParams(penalty=penalty))
+    best.offer(rows)
     return best
 
 
@@ -152,20 +153,19 @@ class TestOffer:
         gen = np.random.default_rng(13)
         for trial in range(300):
             count = int(gen.integers(1, 12))
-            # two batches with their counts, against each row offered as a
-            # one-row batch with its own counts; a penalty of 0.5 ties
-            # clashing rows with proper ones, and an int penalty keeps clashing
-            # costs int
+            # two batches, against each row offered as a one-row batch; a
+            # penalty of 0.5 ties clashing rows with proper ones, and an int
+            # penalty keeps clashing costs int
             params = CostParams((0.5, float(g.n), 2)[trial % 3])
-            first, first_counts, first_costs, first_exact = _counted_rows(gen, g, proper, count, params)
-            later, later_counts, later_costs, later_exact = _counted_rows(gen, g, proper, count, params)
-            one, each = BestSoFar(params), BestSoFar(params)
-            for rows, counts, costs in ((first, first_counts, first_costs), (later, later_counts, later_costs)):
-                returned = one.offer(rows, counts)
+            first, first_costs, first_exact = _counted_rows(gen, g, proper, count, params)
+            later, later_costs, later_exact = _counted_rows(gen, g, proper, count, params)
+            search = SearchParams(penalty=params.penalty)
+            one, each = BestSoFar(g, search), BestSoFar(g, search)
+            for rows, costs in ((first, first_costs), (later, later_costs)):
+                returned = one.offer(rows)
                 assert returned.dtype == np.float64 and np.array_equal(returned, costs)
             for row, c in zip(list(first) + list(later), first_exact + later_exact):
-                counts = (np.array([count_conflicts(g, row)]), np.array([distinct_colours(row)]))
-                assert each.offer([row], counts).tolist() == [c]
+                assert each.offer([row]).tolist() == [c]
             assert np.array_equal(one.row, each.row)
             assert (one.cost, type(one.cost), one.conflicts, one.used) == (
                 each.cost, type(each.cost), each.conflicts, each.used
@@ -177,19 +177,19 @@ class TestOffer:
 
     def test_first_of_equal_minima(self):
         # a penalty of 1 makes the clashing [1, 1, 2] cost 3.0, as the proper rows do
-        g, params = complete_graph(3), CostParams(1.0)
+        g = complete_graph(3)
         rows = [np.array([1, 2, 3]), np.array([1, 1, 2]), np.array([2, 3, 1])]
-        best = _offered(g, rows, params)
+        best = _offered(g, rows, 1.0)
         assert np.array_equal(best.row, rows[0]) and best.cost == 3 and type(best.cost) is int
-        best = _offered(g, rows[1:], params)
+        best = _offered(g, rows[1:], 1.0)
         assert np.array_equal(best.row, rows[1]) and best.cost == 3.0 and type(best.cost) is float
 
     def test_no_improvement_keeps_the_best(self):
-        g, params = complete_graph(3), CostParams(3.0)
+        g = complete_graph(3)
         rows = [np.array([1, 2, 3]), np.array([1, 1, 2])]
-        best = _offered(g, rows, params)
+        best = _offered(g, rows, 3.0)
         later = np.array([[3, 2, 1], [2, 2, 2]])
-        assert best.offer(list(later), batch_counts(g, later)).tolist() == [3.0, 10.0]
+        assert best.offer(list(later)).tolist() == [3.0, 10.0]
         assert np.array_equal(best.row, rows[0]) and best.cost == 3 and type(best.cost) is int
         assert (best.conflicts, best.used) == (0, 3)
 
@@ -197,10 +197,50 @@ class TestOffer:
         # a row offered out of a whole batch must not keep that batch alive
         g = complete_graph(3)
         batch = np.array([[1, 1, 2], [1, 2, 3]])
-        best = _offered(g, batch, CostParams(3.0))
+        best = _offered(g, batch, 3.0)
         assert np.array_equal(best.row, batch[1]) and best.row.base is None
         batch[1] = [2, 2, 2]
         assert best.row.tolist() == [1, 2, 3] and (best.conflicts, best.used) == (0, 3)
+
+
+    def test_list_of_rows_as_an_array(self):
+        g = mycielski_graph(4)
+        params, gen = SearchParams(penalty=2.0), np.random.default_rng(17)
+        for trial in range(50):
+            rows = list(gen.integers(1, 5, size=(int(gen.integers(1, 12)), g.n)))
+            as_list, as_array = BestSoFar(g, params), BestSoFar(g, params)
+            assert np.array_equal(as_list.offer(rows), as_array.offer(np.array(rows)))
+            assert np.array_equal(as_list.row, as_array.row)
+            assert (as_list.cost, as_list.conflicts, as_list.used) == (
+                as_array.cost, as_array.conflicts, as_array.used
+            )
+
+
+class TestParamsChecked:
+    """Every params class checks its values when it is made; none has a
+    `validate` to call."""
+
+    @pytest.mark.parametrize(
+        "cls, bad",
+        [
+            (SearchParams, dict(population_size=0)),
+            (SearchParams, dict(penalty=float("nan"))),
+            (DicaParams, dict(decades=0)),
+            (DicaParams, dict(population_size=1)),
+            (GaParams, dict(generations=0)),
+            (GaParams, dict(population_size=3, elitism_count=3)),
+        ],
+    )
+    def test_bad_value_refused_on_construction(self, cls, bad):
+        with pytest.raises(ValueError):
+            cls(**bad)
+        assert not hasattr(cls(), "validate")
+
+    @pytest.mark.parametrize("cls", [SearchParams, DicaParams, GaParams])
+    def test_early_stop_needs_known_chromatic(self, cls):
+        with pytest.raises(ValueError, match="^early_stop_at_chromatic needs known_chromatic$"):
+            cls(early_stop_at_chromatic=True)
+        assert cls(early_stop_at_chromatic=True, known_chromatic=3).known_chromatic == 3
 
 
 class TestCostParams:

@@ -296,12 +296,7 @@ class TestRunGa:
     )
     def test_invalid_params(self, bad):
         with pytest.raises(ValueError):
-            GaParams(**bad).validate()
-
-
-def _counts(g, row):
-    """One row's counts as the one-element arrays of a one-row batch."""
-    return np.array([count_conflicts(g, row)]), np.array([distinct_colours(row)])
+            GaParams(**bad)
 
 
 def _child_by_child_ga(g, params, _inspect=None):
@@ -309,15 +304,14 @@ def _child_by_child_ga(g, params, _inspect=None):
     same order and shapes, then each child built on its own by `crossover_2pt_at`
     or a copy and a one-cell assignment, scored by `cost` and offered as the best
     as a one-row batch."""
-    params.validate()
     rng = np.random.default_rng(params.rng_seed)
     k_max = resolve_k_max(g, params.k_max)
     cost_params = params.cost_params(g)
     population = init_population(g, params, rng)
     costs = [cost(g, c, cost_params) for c in population]
-    best = BestSoFar(cost_params)
-    for row, c in zip(population, costs):
-        best.offer([row], _counts(g, row))
+    best = BestSoFar(g, params)
+    for row in population:
+        best.offer([row])
     size = params.population_size
     n_children = size - params.elitism_count
     pairs = (n_children + 1) // 2
@@ -345,11 +339,11 @@ def _child_by_child_ga(g, params, _inspect=None):
             child_cost = cost(g, child, cost_params)
             new_pop.append(child)
             new_costs.append(child_cost)
-            best.offer([child], _counts(g, child))
+            best.offer([child])
         population, costs = new_pop, new_costs
         if _inspect is not None:
             _inspect("end", generation, population, [float(c) for c in costs])
-        if best.end_iteration(params):
+        if best.end_iteration():
             return best.result(TERMINATED_EARLY_STOP)
     return best.result(TERMINATED_DECADES)
 
