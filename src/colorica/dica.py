@@ -15,6 +15,7 @@ roulette-picked rival until one empire remains or the decade budget runs out.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -36,6 +37,7 @@ from .engine import (
     cut_points,
     init_population,
     rank,
+    resolve_k_max,
     roulette_wheel,
     spin,
 )
@@ -68,6 +70,12 @@ class DicaParams(SearchParams):
             raise ValueError(
                 f"imperialist_fraction must be in (0, 1), got {self.imperialist_fraction}"
             )
+        if not self.n_imperialists < self.population_size:
+            raise ValueError(
+                f"imperialist_fraction {self.imperialist_fraction} of population_size "
+                f"{self.population_size} makes {self.n_imperialists} imperialists, "
+                "leaving no colony"
+            )
         if self.decades < 1:
             raise ValueError(f"decades must be >= 1, got {self.decades}")
         if not 0.0 <= self.revolution_rate <= 1.0:
@@ -78,6 +86,11 @@ class DicaParams(SearchParams):
             raise ValueError(f"damp_ratio must be in [0, 1], got {self.damp_ratio}")
         if not 0.0 <= self.xi < math.inf:
             raise ValueError(f"xi must be finite and >= 0, got {self.xi}")
+
+    @property
+    def n_imperialists(self) -> int:
+        """How many of the population `run_dica` makes imperialists."""
+        return max(1, round(self.imperialist_fraction * self.population_size))
 
 
 @dataclass
@@ -212,50 +225,74 @@ def colony_step(
     return children
 
 
-def descend(g: Graph, cols: np.ndarray, steps: int, rng: np.random.Generator) -> np.ndarray:
+def neighbour_table(g: Graph, rows: np.ndarray, width: int) -> np.ndarray:
+    """The (count, width, n) int64 neighbour-colour table of a (count, n) array
+    of colourings: cell (e, c, x) counts the neighbours of vertex x that row e
+    colours c.  Every colour must be below `width`."""
+    count, n = rows.shape
+    eu, ev = g.edge_index_arrays
+    cells = count * width * n
+    # coloured[e, x] is where vertex x's own colour plane starts in row e
+    coloured = (np.arange(count) * (width * n))[:, None] + rows * n
+    table = np.bincount((coloured[:, ev] + eu).ravel(), minlength=cells) + np.bincount(
+        (coloured[:, eu] + ev).ravel(), minlength=cells
+    )
+    return table.reshape(count, width, n)
+
+
+def descend(
+    g: Graph,
+    cols: np.ndarray,
+    steps: int,
+    rng: np.random.Generator,
+    table: np.ndarray | None = None,
+) -> np.ndarray:
     """Clash-directed swap descent on each row of a (count, n) array of colourings.
 
     Each step, in every row that still clashes, draws a clashing vertex v,
     scores swapping its colour with every vertex of another colour by the
-    change in clash count (read from a row-by-colour-by-vertex table of
-    neighbour counts), and applies the best swap, ties drawn uniformly, unless
-    it would add clashes.  The neighbours of the drawn and moved vertices come
-    as 0/1 rows unpacked from `Graph.packed_adjacency`.  Swaps keep each row's
-    colour multiset, so a proper colouring comes back unchanged and no cost
-    rises.  Rows go in row order, in batches whose table stays near BATCH_CELLS
-    cells, or alone when one row's table (palette width x n) is larger; then
-    a proper row is not tabled.  Returns the new (count, n) colourings; the
-    input is left untouched.
+    change in clash count (read from the rows' `neighbour_table`), and
+    applies the best swap, ties drawn uniformly, unless it would add clashes.
+    The neighbours of the drawn and moved vertices come as 0/1 rows unpacked
+    from `Graph.packed_adjacency`.  Swaps keep each row's colour multiset, so
+    a proper colouring comes back unchanged and no cost rises.
+
+    Given `table`, a C-contiguous `neighbour_table(g, cols, width)` for any
+    width above every colour, all rows go as one batch over it, and it is
+    updated in place to match the returned rows, so a caller can carry it to
+    the next call.  Given none, rows go in row order, in batches whose own
+    table stays near BATCH_CELLS cells, or alone when one row's table (palette
+    width x n) is larger; then a proper row is not tabled.  The table's width
+    changes no draw; the batching orders the draws.  Returns the new (count, n) colourings; `cols` is left untouched.
     """
     out = np.array(cols)
     count, n = out.shape
-    width = int(out.max()) + 1
-    eu, ev = g.edge_index_arrays
-    per_batch = max(1, BATCH_CELLS // max(width * n, 2 * eu.size))
-    if count > per_batch:
-        return np.concatenate(
-            [descend(g, out[i : i + per_batch], steps, rng) for i in range(0, count, per_batch)]
-        )
-    if width * n > BATCH_CELLS and not (out[:, eu] == out[:, ev]).any():
-        # a batch with no clash takes no step and draws nothing: skip the table
-        return out
+    if table is None:
+        width = int(out.max()) + 1
+        eu, ev = g.edge_index_arrays
+        per_batch = max(1, BATCH_CELLS // max(width * n, 2 * eu.size))
+        if count > per_batch:
+            return np.concatenate(
+                [descend(g, out[i : i + per_batch], steps, rng) for i in range(0, count, per_batch)]
+            )
+        if width * n > BATCH_CELLS and not (out[:, eu] == out[:, ev]).any():
+            # a batch with no clash takes no step and draws nothing: skip the table
+            return out
+        table = neighbour_table(g, out, width)
+    elif table.ndim != 3 or table.shape[::2] != (count, n) or not table.flags.c_contiguous:
+        raise ValueError(f"table must be a C-contiguous ({count}, width, {n}) array")
+    width = table.shape[1]
     packed = g.packed_adjacency
     rows = np.arange(count)
     vertex = np.arange(n)
-    # flat table: cell (row e, colour c, vertex x) = e * width * n + c * n + x
-    # counts the neighbours of x that row e colours c
+    # flat view: cell (row e, colour c, vertex x) = e * width * n + c * n + x
+    flat = table.reshape(-1)
     plane = rows * (width * n)
-    cells = count * width * n
-    # coloured[e, x] is where vertex x's own colour plane starts in row e
     coloured = plane[:, None] + out * n
-    table = np.bincount((coloured[:, ev] + eu).ravel(), minlength=cells) + np.bincount(
-        (coloured[:, eu] + ev).ravel(), minlength=cells
-    )
-    by_colour = table.reshape(count, width, n)
     # above any real change: a swap alters at most 2 * (n - 1) clashes
     barred = 2 * n
     for _ in range(steps):
-        own = table[coloured + vertex]
+        own = flat[coloured + vertex]
         clashing = own > 0
         active = clashing.any(axis=1)
         if not active.any():
@@ -264,8 +301,8 @@ def descend(g: Graph, cols: np.ndarray, steps: int, rng: np.random.Generator) ->
         a = out[rows, v]
         # v takes u's colour and u takes a; an edge u-v is counted on both sides
         near_v = np.unpackbits(packed[v], axis=1, count=n)
-        delta = table[coloured + v[:, None]] - own
-        delta += by_colour[rows, a]
+        delta = flat[coloured + v[:, None]] - own
+        delta += table[rows, a]
         delta -= own[rows, v][:, None]
         delta -= 2 * near_v
         delta[out == a[:, None]] = barred
@@ -280,8 +317,8 @@ def descend(g: Graph, cols: np.ndarray, steps: int, rng: np.random.Generator) ->
         # the neighbours of each moved vertex lose its old colour and gain its new one
         near_um = np.unpackbits(packed[um], axis=1, count=n)
         gain = near_um.view(np.int8) - near_v[move].view(np.int8)
-        by_colour[r, am] += gain
-        by_colour[r, bm] -= gain
+        table[r, am] += gain
+        table[r, bm] -= gain
     return out
 
 
@@ -322,6 +359,22 @@ def normalized_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     return np.count_nonzero(a != b, axis=-1) / a.shape[-1]
 
 
+def _pairs_sharing_a_block(imps: np.ndarray, blocks: int) -> list[tuple[int, int]]:
+    """The row pairs (i, j), i < j, of a (count, n) array that agree on every
+    cell of at least one of `blocks` column blocks (`np.array_split`), sorted."""
+    pairs = set()
+    for block in np.array_split(imps, blocks, axis=1):
+        block = np.ascontiguousarray(block)
+        # each row's block as one bytes key
+        keys = block.view(np.dtype((np.void, block.itemsize * block.shape[1]))).ravel().tolist()
+        groups: dict[bytes, list[int]] = {}
+        for i, key in enumerate(keys):
+            groups.setdefault(key, []).append(i)
+        for members in groups.values():
+            pairs.update(itertools.combinations(members, 2))
+    return sorted(pairs)
+
+
 def unite_similar_empires(
     empires: list[Empire], threshold: float, xi: float
 ) -> list[Empire]:
@@ -329,11 +382,23 @@ def unite_similar_empires(
 
     The lower-total-cost empire absorbs the other (its imperialist joins as a
     colony).  Pairs are handled nearest first; totals are from before any merge.
+    A pair within the threshold differs in at most `most = int(threshold * n) + 1`
+    cells (the 1 covers float rounding), so when `most < n` it agrees on every
+    cell of one of `most + 1` column blocks: only pairs that share a block are
+    measured, a pigeonhole filter (Manku, Jain & Das Sarma 2007) that leaves
+    the merged pairs, their distances and their order as measuring every pair.
     """
     if len(empires) < 2:
         return empires
     imps = np.array([e.imperialist for e in empires])
-    rows, cols = np.triu_indices(len(empires), 1)
+    most = int(threshold * imps.shape[1]) + 1
+    if most < imps.shape[1]:
+        pairs = _pairs_sharing_a_block(imps, most + 1)
+        if not pairs:
+            return empires
+        rows, cols = np.array(pairs).T
+    else:
+        rows, cols = np.triu_indices(len(empires), 1)
     dists = normalized_distance(imps[rows], imps[cols])
     close = np.flatnonzero(dists < threshold)
     if close.size == 0:
@@ -396,6 +461,13 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     IMPERIALIST_DESCENT_STEPS steps of `descend` together, drawn from the
     run's own RNG, and are offered the same way; each imperialist's cached
     cost becomes its float64 cost.
+
+    When all imperialists' `neighbour_table` over the palette 0..k_max fits
+    one of `descend`'s batches, the run carries it from decade to decade
+    instead of `descend` rebuilding it: an exchange rebuilds that empire's
+    row, the descent keeps it up to date, and the rows of empires that merge
+    or dissolve are dropped.  Every colour stays in 1..k_max, and the result
+    is the same with or without the carried table.
     """
     rng = np.random.default_rng(params.rng_seed)
     best = BestSoFar(g, params)
@@ -403,9 +475,11 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     population = init_population(g, params, rng)
     costs = best.offer(population).tolist()
 
-    n_imp = max(1, round(params.imperialist_fraction * params.population_size))
-    empires = form_empires(population, costs, n_imp, rng)
+    empires = form_empires(population, costs, params.n_imperialists, rng)
     revolution_rate = params.revolution_rate
+    width = resolve_k_max(g, params.k_max) + 1
+    table_cells = max(width * g.n, 2 * g.m)
+    table = None
 
     for decade in range(params.decades):
         sizes = [len(e.colonies) for e in empires]
@@ -418,21 +492,29 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
         )
         costs = best.offer(children).tolist()
         start = 0
-        for empire, size in zip(empires, sizes):
+        swapped = []
+        for i, (empire, size) in enumerate(zip(empires, sizes)):
             empire.colonies[:] = children[start : start + size]
             empire.colony_costs[:] = costs[start : start + size]
             start += size
-            exchange_if_better(empire)
-        imperialists = descend(
-            g, np.array([e.imperialist for e in empires]), IMPERIALIST_DESCENT_STEPS, rng
-        )
+            if exchange_if_better(empire):
+                swapped.append(i)
+        imperialists = np.array([e.imperialist for e in empires])
+        if table is None and len(empires) * table_cells <= BATCH_CELLS:
+            table = neighbour_table(g, imperialists, width)
+        elif table is not None and swapped:
+            table[swapped] = neighbour_table(g, imperialists[swapped], width)
+        imperialists = descend(g, imperialists, IMPERIALIST_DESCENT_STEPS, rng, table)
         costs = best.offer(imperialists).tolist()
         for empire, imp, imp_cost in zip(empires, imperialists, costs):
             empire.imperialist, empire.imperialist_cost = imp, imp_cost
         if _inspect is not None:
             _inspect("post_exchange", decade, empires)
+        row_of = {id(e): i for i, e in enumerate(empires)}
         empires = unite_similar_empires(empires, params.uniting_threshold, params.xi)
         empires = imperialistic_competition(empires, params.xi, rng)
+        if table is not None and len(empires) < len(row_of):
+            table = table[[row_of[id(e)] for e in empires]]
         revolution_rate *= params.damp_ratio
         if _inspect is not None:
             _inspect("end", decade, empires)

@@ -251,6 +251,16 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: k_max must be in 1..") and "Traceback" not in err
 
+    def test_imperialists_leaving_no_colony_exit_one_with_a_message(self, tmp_path, capsys):
+        path = _write_k3(tmp_path)
+        argv = ["solve", str(path), "--population-size", "2", "--imperialist-fraction", "0.9", "--decades", "5"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: imperialist_fraction 0.9 of population_size 2 makes 2 imperialists, leaving no colony\n"
+        )
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv,seed", [(["solve", "--seed=-1"], -1), (["bench", "--seed-base=-5"], -5)])
     def test_negative_seed_exits_one_with_a_message(self, argv, seed, tmp_path, capsys):
         path = _write_k3(tmp_path)

@@ -1,5 +1,6 @@
 """Imperialist-style engine: operator worked examples, contracts, run invariants."""
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,7 @@ from colorica.dica import (
     form_empires,
     imperialistic_competition,
     init_population,
+    neighbour_table,
     normalized_distance,
     revolve,
     revolve_at,
@@ -398,6 +400,45 @@ class TestDescend:
         assert result.conflicts == 0
         assert peak < 8 * BATCH_CELLS
 
+    # DIMACS names: myciel5 is the level-6 Mycielskian
+    TABLED = {"queen5": (queen_graph(5), 4), "myciel5": (mycielski_graph(6), 5), "k15": (complete_graph(15), 14)}
+
+    @pytest.mark.parametrize("graph", sorted(TABLED))
+    @pytest.mark.parametrize("steps", [1, 4, 20])
+    def test_a_given_table_follows_the_rows_and_changes_no_draw(self, graph, steps):
+        g, k = self.TABLED[graph]
+        rng = np.random.default_rng(steps)
+        cols = np.stack([rng.permutation(np.arange(g.n) % k + 1) for _ in range(6)])
+        kept = cols.copy()
+        want = descend(g, cols, steps, np.random.default_rng(9))
+        # any width above every colour: the palette's, or wider
+        for width in (k + 1, k + 4):
+            table = neighbour_table(g, cols, width)
+            out = descend(g, cols, steps, np.random.default_rng(9), table)
+            assert cols.tolist() == kept.tolist()
+            assert out.tolist() == want.tolist()
+            assert table.shape == (6, width, g.n) and table.dtype == np.int64
+            assert np.array_equal(table, neighbour_table(g, out, width))
+        assert out.tolist() != cols.tolist()
+
+    def test_neighbour_table_counts_each_neighbours_colour(self):
+        g = queen_graph(4)
+        rng = np.random.default_rng(4)
+        rows = rng.integers(1, 5, size=(3, g.n))
+        table = neighbour_table(g, rows, 6)
+        for e, row in enumerate(rows):
+            for x in range(g.n):
+                for c in range(6):
+                    assert table[e, c, x] == sum(row[u - 1] == c for u in g.adjacency[x + 1])
+
+    def test_a_table_of_the_wrong_shape_is_refused(self):
+        g = queen_graph(4)
+        cols = np.ones((2, g.n), dtype=np.int64)
+        for table in (neighbour_table(g, cols[:1], 3), neighbour_table(g, cols, 3)[:, :, ::2],
+                      np.asfortranarray(neighbour_table(g, cols, 3))):
+            with pytest.raises(ValueError):
+                descend(g, cols, 1, np.random.default_rng(0), table)
+
 
 def _segment_copies(imp, col):
     return [
@@ -601,6 +642,80 @@ class TestUnite:
         assert sorted(merged[0].colony_costs) == [2.0, 3.0]
 
 
+def _unite_all_pairs(empires, threshold, xi):
+    """The merge rule measured over every pair of imperialists."""
+    if len(empires) < 2:
+        return empires
+    imps = np.array([e.imperialist for e in empires])
+    rows, cols = np.triu_indices(len(empires), 1)
+    dists = normalized_distance(imps[rows], imps[cols])
+    close = np.flatnonzero(dists < threshold)
+    totals = [empire_total_cost(e, xi) for e in empires]
+    pairs = sorted(zip(dists[close].tolist(), rows[close].tolist(), cols[close].tolist()))
+    alive = [True] * len(empires)
+    for _, i, j in pairs:
+        if not (alive[i] and alive[j]):
+            continue
+        win, lose = (i, j) if (totals[i], i) <= (totals[j], j) else (j, i)
+        empires[win].colonies.append(empires[lose].imperialist)
+        empires[win].colony_costs.append(empires[lose].imperialist_cost)
+        empires[win].colonies.extend(empires[lose].colonies)
+        empires[win].colony_costs.extend(empires[lose].colony_costs)
+        alive[lose] = False
+    return [e for k, e in enumerate(empires) if alive[k]]
+
+
+def _empire_stack(n, count, rng):
+    """Empires whose imperialists are a few bases with 0..n cells redrawn, half
+    of them at most two, so every distance from equal to wholly different
+    turns up."""
+    bases = rng.integers(1, 4, size=(3, n))
+    empires = []
+    for _ in range(count):
+        imp = bases[rng.integers(3)].copy()
+        cells = rng.permutation(n)[: rng.integers(rng.choice([3, n + 1]))]
+        imp[cells] = rng.integers(1, 4, size=cells.size)
+        colonies = int(rng.integers(4))
+        empires.append(Empire(
+            imperialist=imp,
+            imperialist_cost=float(rng.integers(1, 6)),
+            colonies=[rng.integers(1, 4, size=n) for _ in range(colonies)],
+            colony_costs=[float(c) for c in rng.integers(1, 9, size=colonies)],
+        ))
+    return empires
+
+
+def _state(empires, index):
+    return [(index[id(e)], [c.tolist() for c in e.colonies], e.colony_costs) for e in empires]
+
+
+class TestUniteFilter:
+    """The block filter merges what measuring every pair would merge."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 49])
+    @pytest.mark.parametrize("threshold", [0.0, 0.02, 0.1, 0.5, 1.0, 1.5])
+    def test_same_merges_as_every_pair(self, n, threshold):
+        rng = np.random.default_rng(n * 10 + int(threshold * 100))
+        for count in range(2, 15):
+            for _ in range(3):
+                empires = _empire_stack(n, count, rng)
+                twin = copy.deepcopy(empires)
+                index = {id(e): i for i, e in enumerate(empires)}
+                index.update({id(e): i for i, e in enumerate(twin)})
+                got = unite_similar_empires(empires, threshold, xi=0.1)
+                want = _unite_all_pairs(twin, threshold, xi=0.1)
+                assert _state(got, index) == _state(want, index)
+
+    def test_wholly_different_pair_merges_above_one(self):
+        a = Empire(imperialist=np.ones(7, dtype=int), imperialist_cost=1.0)
+        b = Empire(imperialist=np.full(7, 2), imperialist_cost=2.0)
+        merged = unite_similar_empires([a, b], 1.5, xi=0.1)
+        assert merged == [a] and a.colony_costs == [2.0]
+        c = Empire(imperialist=np.ones(7, dtype=int), imperialist_cost=1.0)
+        d = Empire(imperialist=np.full(7, 2), imperialist_cost=2.0)
+        assert len(unite_similar_empires([c, d], 1.0, xi=0.1)) == 2
+
+
 class TestCompetition:
     def test_weakest_loses_its_worst_colony(self):
         strong = _empire(1, [2], seed=4)
@@ -743,10 +858,64 @@ class TestRunDica:
         result = run_dica(g, DicaParams(population_size=20, decades=10, k_max=3, rng_seed=3))
         assert max(result.best) <= 3
 
+    def test_carried_table_gives_the_same_result(self, monkeypatch):
+        tabled = {True: 0, False: 0}
+        swaps, merged = [], []
+        carry = [True]
+        real_descend, real_table, real_exchange, real_unite = (
+            dica.descend, dica.neighbour_table, dica.exchange_if_better, dica.unite_similar_empires)
+
+        def maybe_carried_descend(g, cols, steps, rng, table=None):
+            return real_descend(g, cols, steps, rng, table if carry[0] else None)
+
+        def counting_table(g, rows, width):
+            tabled[carry[0]] += len(rows)
+            return real_table(g, rows, width)
+
+        def counting_exchange(empire):
+            swaps.append(real_exchange(empire))
+            return swaps[-1]
+
+        def counting_unite(empires, threshold, xi):
+            before = len(empires)
+            empires = real_unite(empires, threshold, xi)
+            merged.append(before - len(empires))
+            return empires
+
+        monkeypatch.setattr(dica, "descend", maybe_carried_descend)
+        monkeypatch.setattr(dica, "neighbour_table", counting_table)
+        monkeypatch.setattr(dica, "exchange_if_better", counting_exchange)
+        monkeypatch.setattr(dica, "unite_similar_empires", counting_unite)
+        for g in (queen_graph(5), mycielski_graph(5)):
+            for seed in (1, 2, 31):
+                for kw in ({}, {"k_max": 4}, {"k_max": 6, "uniting_threshold": 0.5}):
+                    params = DicaParams(population_size=40, decades=20, rng_seed=seed, **kw)
+                    # the default cap carries from the start; at 1000 cells queen5's
+                    # runs carry only once their empires shrink, and at 1 none carries
+                    for cap in (BATCH_CELLS, 1000, 1):
+                        monkeypatch.setattr(dica, "BATCH_CELLS", cap)
+                        carry[0] = True
+                        carried = run_dica(g, params)
+                        carry[0] = False
+                        assert run_dica(g, params) == carried
+        assert any(swaps) and any(merged)
+        # carried, a row is tabled once and again only after an exchange
+        assert tabled[True] < tabled[False]
+
     def test_too_many_imperialists_rejected(self):
         g = complete_graph(3)
         with pytest.raises(ValueError):
             run_dica(g, DicaParams(population_size=2, imperialist_fraction=0.9, decades=1))
+
+    @pytest.mark.parametrize("size,fraction", [(2, 0.9), (10, 0.96), (3, 0.99)])
+    def test_imperialists_leaving_no_colony_rejected_on_construction(self, size, fraction):
+        with pytest.raises(ValueError, match="imperialist_fraction .* population_size"):
+            DicaParams(population_size=size, imperialist_fraction=fraction)
+
+    @pytest.mark.parametrize("size,fraction,imperialists", [(2, 0.7, 1), (10, 0.94, 9), (3, 0.5, 2)])
+    def test_imperialists_leaving_one_colony_accepted(self, size, fraction, imperialists):
+        params = DicaParams(population_size=size, imperialist_fraction=fraction)
+        assert params.n_imperialists == imperialists
 
     @pytest.mark.parametrize(
         "bad",
