@@ -153,7 +153,9 @@ class TestInitPopulation:
         g = mycielski_graph(4)
         params = DicaParams(population_size=300, k_max=6)
         pop = init_population(g, params, np.random.default_rng(1))
-        assert len(pop) == 300
+        # the one population array both engines score
+        assert type(pop) is np.ndarray
+        assert pop.shape == (300, 11) and pop.dtype == np.int64
         for country in pop:
             assert country.shape == (11,)
             assert country.min() >= 1 and country.max() <= 6
@@ -171,8 +173,15 @@ class TestInitPopulation:
         params = DicaParams(population_size=10)
         a = init_population(g, params, np.random.default_rng(42))
         b = init_population(g, params, np.random.default_rng(42))
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(a, b)
+
+    def test_one_permutation_per_row_in_row_order(self):
+        g = mycielski_graph(4)
+        params = DicaParams(population_size=7, k_max=3)
+        rng = np.random.default_rng(5)
+        base = np.arange(g.n) % 3 + 1
+        want = [base[rng.permutation(g.n)].tolist() for _ in range(7)]
+        assert init_population(g, params, np.random.default_rng(5)).tolist() == want
 
     def test_single_vertex_graph(self):
         g = Graph(1, ())
@@ -399,6 +408,41 @@ class TestDescend:
             tracemalloc.stop()
         assert result.conflicts == 0
         assert peak < 8 * BATCH_CELLS
+
+    @staticmethod
+    def _refusing(monkeypatch):
+        """Scale the caps down so that K_60 at k_max 30 (every row clashes, and
+        one row's table is 31 x 60 = 1860 cells) goes in one-row batches whose
+        table passes the limit; returns the list of tables built."""
+        monkeypatch.setattr(dica, "BATCH_CELLS", 100)
+        monkeypatch.setattr(dica, "MAX_POPULATION_CELLS", 1000)
+        built = []
+        real = dica.neighbour_table
+
+        def recording(g, rows, width):
+            built.append(rows.shape[0] * width * g.n)
+            return real(g, rows, width)
+
+        monkeypatch.setattr(dica, "neighbour_table", recording)
+        return built
+
+    def test_a_clashing_row_too_wide_to_table_is_refused(self, monkeypatch):
+        built = self._refusing(monkeypatch)
+        g = complete_graph(60)
+        row = np.arange(60) % 30 + 1
+        with pytest.raises(ValueError, match=r"31 colours x 60 vertices .*1000 cells; try a smaller k_max"):
+            descend(g, row[None], 4, np.random.default_rng(1))
+        # a proper row of the same width still comes back, untabled
+        proper = np.arange(60) + 1
+        assert descend(complete_graph(60), proper[None], 4, np.random.default_rng(1)).tolist() == [proper.tolist()]
+        assert built == []
+
+    def test_a_run_refuses_before_building_the_table(self, monkeypatch):
+        built = self._refusing(monkeypatch)
+        params = DicaParams(population_size=10, decades=3, k_max=30, rng_seed=3)
+        with pytest.raises(ValueError, match="descent table of 31 colours x 60 vertices"):
+            run_dica(complete_graph(60), params)
+        assert built == []
 
     # DIMACS names: myciel5 is the level-6 Mycielskian
     TABLED = {"queen5": (queen_graph(5), 4), "myciel5": (mycielski_graph(6), 5), "k15": (complete_graph(15), 14)}
