@@ -434,7 +434,7 @@ class TestDescend:
             descend(g, row[None], 4, np.random.default_rng(1))
         # a proper row of the same width still comes back, untabled
         proper = np.arange(60) + 1
-        assert descend(complete_graph(60), proper[None], 4, np.random.default_rng(1)).tolist() == [proper.tolist()]
+        assert descend(g, proper[None], 4, np.random.default_rng(1)).tolist() == [proper.tolist()]
         assert built == []
 
     def test_a_run_refuses_before_building_the_table(self, monkeypatch):
