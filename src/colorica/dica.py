@@ -26,7 +26,6 @@ import numpy as np
 # a name the benchmark's probe and its tests look up
 from .coloring import BATCH_CELLS, cost  # noqa: F401
 from .engine import (
-    MAX_POPULATION_CELLS,
     TERMINATED_DECADES,
     TERMINATED_EARLY_STOP,
     TERMINATED_SINGLE_EMPIRE,
@@ -118,12 +117,12 @@ def _largest_remainder(powers: Sequence[float], total: int) -> list[int]:
 
 
 def form_empires(
-    countries: np.ndarray,
+    countries: Sequence[np.ndarray],
     costs: Sequence[float],
     n_imperialists: int,
     rng: np.random.Generator,
 ) -> list[Empire]:
-    """Take the n cheapest rows of `countries` as imperialists and share out the rest.
+    """Take the n cheapest countries as imperialists and share out the rest.
 
     Colony counts follow each imperialist's normalized power (cheaper is more
     powerful); the actual colonies are dealt out by a random permutation.
@@ -263,10 +262,9 @@ def descend(
     updated in place to match the returned rows, so a caller can carry it to
     the next call.  Given none, rows go in row order, in batches whose own
     table stays near BATCH_CELLS cells, or alone when one row's table (palette
-    width x n) is larger; then a proper row is not tabled, and a clashing row
-    whose table passes MAX_POPULATION_CELLS is refused before it is built.  The
-    table's width changes no draw; the batching orders the draws.  Returns the
-    new (count, n) colourings; `cols` is left untouched.
+    width x n) is larger; such a row is never tabled, see `_descend_wide`.
+    The table's width changes no draw; the batching orders the draws.  Returns
+    the new (count, n) colourings; `cols` is left untouched.
     """
     out = np.array(cols)
     count, n = out.shape
@@ -278,12 +276,8 @@ def descend(
             return np.concatenate(
                 [descend(g, out[i : i + per_batch], steps, rng) for i in range(0, count, per_batch)]
             )
-        if width * n > BATCH_CELLS and not (out[:, eu] == out[:, ev]).any():
-            # a batch with no clash takes no step and draws nothing: skip the table
-            return out
-        if width * n > MAX_POPULATION_CELLS:
-            raise ValueError(f"a descent table of {width} colours x {n} vertices exceeds "
-                             f"the supported {MAX_POPULATION_CELLS} cells; try a smaller k_max")
+        if width * n > BATCH_CELLS:
+            return _descend_wide(g, out, steps, rng)
         table = neighbour_table(g, out, width)
     elif table.ndim != 3 or table.shape[::2] != (count, n) or not table.flags.c_contiguous:
         raise ValueError(f"table must be a C-contiguous ({count}, width, {n}) array")
@@ -325,6 +319,35 @@ def descend(
         gain = near_um.view(np.int8) - near_v[move].view(np.int8)
         table[r, am] += gain
         table[r, bm] -= gain
+    return out
+
+
+def _descend_wide(g: Graph, row: np.ndarray, steps: int, rng: np.random.Generator) -> np.ndarray:
+    """`descend` on one (1, n) row whose neighbour-colour table would pass
+    BATCH_CELLS cells: each step recounts from the edge list the table cells it
+    reads, in O(n + m + width) memory, and makes the same draws and moves."""
+    out = row.copy()
+    col = out[0]
+    n = col.size
+    width = int(col.max()) + 1
+    eu, ev = g.edge_index_arrays
+    for _ in range(steps):
+        same = col[eu] == col[ev]
+        own = np.bincount(eu[same], minlength=n) + np.bincount(ev[same], minlength=n)
+        clashing = own > 0
+        if not clashing.any():
+            break
+        v = np.where(clashing, rng.random(n), -1.0).argmax()
+        a = col[v]
+        around_v = np.concatenate((ev[eu == v], eu[ev == v]))
+        # as `descend`: v's neighbours of each vertex's colour, then each vertex's of colour a
+        delta = np.bincount(col[around_v], minlength=width)[col] - own - own[v]
+        delta += np.bincount(eu[col[ev] == a], minlength=n) + np.bincount(ev[col[eu] == a], minlength=n)
+        delta[around_v] -= 2  # once per neighbour, as the unpacked 0/1 row
+        delta[col == a] = 2 * n
+        u = (delta + rng.random(n)).argmin()
+        if delta[u] <= 0:
+            col[v], col[u] = col[u], a
     return out
 
 
@@ -459,15 +482,14 @@ def imperialistic_competition(
 def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) -> RunResult:
     """Full search loop; deterministic for a given (graph, params) pair.
 
-    The initial population, one (size, n) array from `init_population`, is
-    offered as one batch and `form_empires` deals its rows.  Every decade all
-    colonies, stacked in empire order, take one `colony_step` and are offered
-    together to `BestSoFar`, which counts them, keeps the first cheapest and
-    returns their float64 costs; these go back into each Empire before its
-    exchange.  Once every empire has made its exchange, and before the
-    `post_exchange` inspection, all imperialists get IMPERIALIST_DESCENT_STEPS
-    steps of `descend` together, drawn from the run's own RNG, and are offered
-    the same way; each imperialist's cached cost becomes its float64 cost.
+    Every decade all colonies, stacked in empire order, take one `colony_step`
+    and are offered together to `BestSoFar`, which counts them, keeps the
+    first cheapest and returns their float64 costs; these go back into each
+    Empire before its exchange.  Once every empire has made its exchange, and
+    before the `post_exchange` inspection, all imperialists get
+    IMPERIALIST_DESCENT_STEPS steps of `descend` together, drawn from the
+    run's own RNG, and are offered the same way; each imperialist's cached
+    cost becomes its float64 cost.
 
     When all imperialists' `neighbour_table` over the palette 0..k_max fits
     one of `descend`'s batches, the run carries it from decade to decade

@@ -82,11 +82,11 @@ def resolve_k_max(g: Graph, k_max: int | None) -> int:
     return k_max
 
 
-def init_population(g: Graph, params: SearchParams, rng: np.random.Generator) -> np.ndarray:
-    """A (population_size, n) int64 array of random countries over `params.k_max`.
+def init_population(g: Graph, params: SearchParams, rng: np.random.Generator) -> list[np.ndarray]:
+    """Random permuted countries, `params.population_size` of them, over `params.k_max`.
 
-    Row i is the balanced palette (1, 2, ..., k_max, 1, 2, ... truncated to n
-    cells) shuffled by the i-th `rng.permutation(n)`, so every colour value
+    Each country is an independent shuffle of the balanced palette
+    (1, 2, ..., k_max, 1, 2, ... truncated to n cells), so every colour value
     starts equally represented.  Swap-style perturbation can then reach any
     arrangement of that palette, which a cell-wise independent draw does not
     guarantee.
@@ -98,7 +98,7 @@ def init_population(g: Graph, params: SearchParams, rng: np.random.Generator) ->
         )
     k_max = resolve_k_max(g, params.k_max)
     base = np.arange(g.n, dtype=np.int64) % k_max + 1
-    return np.array([base[rng.permutation(g.n)] for _ in range(params.population_size)])
+    return [base[rng.permutation(g.n)] for _ in range(params.population_size)]
 
 
 def rank(costs) -> list[int]:

@@ -1,10 +1,10 @@
 """Genetic-algorithm baseline over the same colouring encoding and cost.
 
-Generational loop over one (size, n) population array, with roulette parent
-selection, two-point crossover, single-position mutation and a small elite
-carried over unchanged.  A generation's children are drawn, built and scored
-as one array: one spin of one roulette wheel picks every parent pair, each
-other random choice is one call, and one offer to `BestSoFar` scores them all.
+Generational loop with roulette parent selection, two-point crossover,
+single-position mutation and a small elite carried over unchanged.  A
+generation's children are drawn, built and scored as one array: one spin of
+one roulette wheel picks every parent pair, each other random choice is one
+call, and one offer to `BestSoFar` scores them all.
 """
 
 from __future__ import annotations
@@ -146,20 +146,25 @@ def breed(pool: np.ndarray, costs, elite, k_max: int, params: GaParams, rng) -> 
 def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
     """Full generational loop; deterministic for a given (graph, params) pair.
 
-    A generation is one (size, n) array, drawn by `init_population` or built
-    by one `breed` call (its `elitism_count` cheapest rows by `rank`, carried
-    over unchanged, then the children), and one float64 array of its costs.
-    The initial population and each generation's children are offered to
-    `BestSoFar`, which counts them, keeps the first cheapest and returns their
-    costs.  `_inspect` gets the generation array, never written to again, and
-    its costs as Python floats, as dica's empires hold them.
+    A generation is one (size, n) array, built by one `breed` call (its
+    `elitism_count` cheapest rows by `rank`, carried over unchanged, then the
+    children), and one float64 array of its costs.  The initial population and
+    each generation's children are offered to `BestSoFar`, which counts them,
+    keeps the first cheapest and returns their costs.  `_inspect` gets the
+    generation as a list of rows and its costs as Python floats, as dica's
+    empires hold them.
     """
     rng = np.random.default_rng(params.rng_seed)
     k_max = resolve_k_max(g, params.k_max)
     best = BestSoFar(g, params)
 
-    pool = init_population(g, params, rng)
+    population = init_population(g, params, rng)
+    pool = np.array(population)
     costs = best.offer(pool)
+    if _inspect is None:
+        # only `_inspect` sees the rows as a list: each elite carried over as
+        # the same object, each child a new one
+        population = None
     kept = params.elitism_count
 
     for generation in range(params.generations):
@@ -168,7 +173,10 @@ def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
         children = pool[kept:]
         costs = np.concatenate((costs[elite], best.offer(children)))
         if _inspect is not None:
-            _inspect("end", generation, pool, costs.tolist())
+            # each child its own copy: a carried row that was a view would keep
+            # its whole generation's array alive
+            population = [population[j] for j in elite] + [row.copy() for row in children]
+            _inspect("end", generation, population, costs.tolist())
         if best.end_iteration():
             return best.result(TERMINATED_EARLY_STOP)
     return best.result(TERMINATED_DECADES)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from colorica import cli, dica, graphs
+from colorica import cli, graphs
 from colorica.cli import build_parser, main
 from colorica.dica import DicaParams
 from colorica.engine import RunResult
@@ -162,23 +162,6 @@ class TestSolve:
         assert main([sub, str(path), "--population-size", "1000000000000", *extra]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "cells" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize(
-        "sub,extra", [("solve", []), ("bench", ["--runs", "1", "--chromatic", "k60=60"])]
-    )
-    def test_descent_table_past_the_bound_exits_one(self, sub, extra, tmp_path, capsys, monkeypatch):
-        # the caps scaled down: every row of K_60 at k_max 30 clashes, and its
-        # descent table (31 x 60 cells) passes the limit, so none is built
-        monkeypatch.setattr(dica, "BATCH_CELLS", 100)
-        monkeypatch.setattr(dica, "MAX_POPULATION_CELLS", 1000)
-        monkeypatch.setattr(dica, "neighbour_table", None)
-        path = tmp_path / "k60.col"
-        path.write_text(graphs.write_dimacs(graphs.complete_graph(60)))
-        assert main([sub, str(path), "--k-max", "30", *FAST, *extra]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: a descent table of 31 colours x 60 vertices exceeds")
-        assert err.rstrip().endswith("try a smaller k_max")
         assert "Traceback" not in err
 
     def test_proper_colouring_exits_zero(self, tmp_path, capsys):

@@ -153,9 +153,7 @@ class TestInitPopulation:
         g = mycielski_graph(4)
         params = DicaParams(population_size=300, k_max=6)
         pop = init_population(g, params, np.random.default_rng(1))
-        # the one population array both engines score
-        assert type(pop) is np.ndarray
-        assert pop.shape == (300, 11) and pop.dtype == np.int64
+        assert len(pop) == 300
         for country in pop:
             assert country.shape == (11,)
             assert country.min() >= 1 and country.max() <= 6
@@ -173,7 +171,8 @@ class TestInitPopulation:
         params = DicaParams(population_size=10)
         a = init_population(g, params, np.random.default_rng(42))
         b = init_population(g, params, np.random.default_rng(42))
-        np.testing.assert_array_equal(a, b)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
     def test_one_permutation_per_row_in_row_order(self):
         g = mycielski_graph(4)
@@ -181,7 +180,7 @@ class TestInitPopulation:
         rng = np.random.default_rng(5)
         base = np.arange(g.n) % 3 + 1
         want = [base[rng.permutation(g.n)].tolist() for _ in range(7)]
-        assert init_population(g, params, np.random.default_rng(5)).tolist() == want
+        assert [row.tolist() for row in init_population(g, params, np.random.default_rng(5))] == want
 
     def test_single_vertex_graph(self):
         g = Graph(1, ())
@@ -409,13 +408,33 @@ class TestDescend:
         assert result.conflicts == 0
         assert peak < 8 * BATCH_CELLS
 
+    def test_clashing_rows_of_a_wide_palette_build_no_table(self, monkeypatch):
+        # a degree-1000 hub sets the default k_max to 1001, so one row's table
+        # would be 1002 x 4000 int64 cells, 32 MB; the chain makes rows clash
+        n = 4000
+        g = Graph(n, tuple((1, v) for v in range(2, 1002)) + tuple((v, v + 1) for v in range(2, n)))
+        g.edge_index_arrays
+        built = self._recording_tables(monkeypatch)
+        clashing = []
+        real = dica._descend_wide
+
+        def recording(g, row, steps, rng):
+            clashing.append(bool((row[:, g.edge_index_arrays[0]] == row[:, g.edge_index_arrays[1]]).any()))
+            return real(g, row, steps, rng)
+
+        monkeypatch.setattr(dica, "_descend_wide", recording)
+        tracemalloc.start()
+        try:
+            run_dica(g, DicaParams(population_size=10, decades=2, rng_seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built == [] and any(clashing)
+        assert peak < 8 * BATCH_CELLS
+
     @staticmethod
-    def _refusing(monkeypatch):
-        """Scale the caps down so that K_60 at k_max 30 (every row clashes, and
-        one row's table is 31 x 60 = 1860 cells) goes in one-row batches whose
-        table passes the limit; returns the list of tables built."""
-        monkeypatch.setattr(dica, "BATCH_CELLS", 100)
-        monkeypatch.setattr(dica, "MAX_POPULATION_CELLS", 1000)
+    def _recording_tables(monkeypatch):
+        """Record the cells of every `neighbour_table` dica builds."""
         built = []
         real = dica.neighbour_table
 
@@ -426,22 +445,34 @@ class TestDescend:
         monkeypatch.setattr(dica, "neighbour_table", recording)
         return built
 
-    def test_a_clashing_row_too_wide_to_table_is_refused(self, monkeypatch):
-        built = self._refusing(monkeypatch)
+    # K_60 at k_max 30: every row clashes, one row's table is 31 x 60 = 1860
+    # cells and 2m = 3540, so under either cap each row goes alone; at 2000 it
+    # is tabled, at 1000 it is descended without its table
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_row_too_wide_to_table_descends_the_same_without_it(self, monkeypatch, seed):
         g = complete_graph(60)
-        row = np.arange(60) % 30 + 1
-        with pytest.raises(ValueError, match=r"31 colours x 60 vertices .*1000 cells; try a smaller k_max"):
-            descend(g, row[None], 4, np.random.default_rng(1))
-        # a proper row of the same width still comes back, untabled
-        proper = np.arange(60) + 1
-        assert descend(g, proper[None], 4, np.random.default_rng(1)).tolist() == [proper.tolist()]
+        rows = np.random.default_rng(seed).integers(1, 31, size=(3, 60))
+        monkeypatch.setattr(dica, "BATCH_CELLS", 2000)
+        want = descend(g, rows, 6, np.random.default_rng(seed))
+        built = self._recording_tables(monkeypatch)
+        monkeypatch.setattr(dica, "BATCH_CELLS", 1000)
+        got = descend(g, rows, 6, np.random.default_rng(seed))
         assert built == []
+        np.testing.assert_array_equal(got, want)
+        assert (got != rows).any()
+        # a proper row of the same width comes back as it went in
+        proper = np.arange(60)[None] + 1
+        np.testing.assert_array_equal(descend(g, proper, 6, np.random.default_rng(seed)), proper)
 
-    def test_a_run_refuses_before_building_the_table(self, monkeypatch):
-        built = self._refusing(monkeypatch)
-        params = DicaParams(population_size=10, decades=3, k_max=30, rng_seed=3)
-        with pytest.raises(ValueError, match="descent table of 31 colours x 60 vertices"):
-            run_dica(complete_graph(60), params)
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_a_run_past_the_table_bound_builds_no_table(self, monkeypatch, seed):
+        g = complete_graph(60)
+        params = DicaParams(population_size=10, decades=3, k_max=30, rng_seed=seed)
+        monkeypatch.setattr(dica, "BATCH_CELLS", 2000)
+        want = run_dica(g, params)
+        built = self._recording_tables(monkeypatch)
+        monkeypatch.setattr(dica, "BATCH_CELLS", 1000)
+        assert run_dica(g, params) == want
         assert built == []
 
     # DIMACS names: myciel5 is the level-6 Mycielskian
