@@ -258,10 +258,14 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
         except ValueError:
             raise ValueError(f"bad --chromatic {item!r}: K must be an integer")
     _warn_vestigial(ns)
+    instances = [_parse_instance(spec) for spec in ns.instances]
+    names = [meta.name for _, meta in instances]
+    unmatched = sorted(set(overrides) - set(names))
+    if unmatched:
+        raise ValueError(f"--chromatic names no instance: {', '.join(unmatched)} (instances: {', '.join(names)})")
     algos = ALGORITHMS if ns.algos == "both" else (ns.algos,)
     records = []
-    for spec in ns.instances:
-        g, meta = _parse_instance(spec)
+    for g, meta in instances:
         if meta.name in overrides:
             meta = GraphMeta(name=meta.name, known_chromatic=overrides[meta.name])
         # resolved once, for every engine's early stop and success check

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import MAX_VERTICES, Graph
 
 # the memory budget of a batched array pass, in array cells: batch_counts caps
 # its rows per chunk so that the gathered (edge, row) colour pairs, the
@@ -105,7 +105,8 @@ def batch_counts(g: Graph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     summed in uint16 over blocks of CLASH_BLOCK edges.  When every colour is
     below 64, a row's colours are the set bits of one uint64 word, the OR of
     1 << colour over its cells; otherwise they are counted from one flat
-    (row, colour) presence mask.
+    (row, colour) presence mask.  Colours outside 0..MAX_VERTICES are refused:
+    engines draw them from 1..k_max, and k_max <= MAX_VERTICES bounds that mask.
     """
     arr = np.asarray(rows)
     if arr.ndim != 2 or arr.shape[1] != g.n:
@@ -116,12 +117,8 @@ def batch_counts(g: Graph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if count == 0:
         return conflicts, used
     top = int(arr.max())
-    if int(arr.min()) < 0 or top >= arr.size:
-        # colour values sparser than the cells: number them densely, which keeps
-        # every equality and bounds the presence mask by the array's size
-        _, dense = np.unique(arr, return_inverse=True)
-        arr = dense.reshape(arr.shape)
-        top = int(arr.max())
+    if int(arr.min()) < 0 or top > MAX_VERTICES:
+        raise ValueError(f"colours must be in 0..{MAX_VERTICES}, got {int(arr.min())}..{top}")
     dtype = np.min_scalar_type(top)
     eu, ev = g.edge_index_arrays
     per_chunk = max(1, BATCH_CELLS // max(eu.size, g.n, top + 1))

@@ -37,7 +37,6 @@ from .engine import (
     cut_points,
     init_population,
     rank,
-    resolve_k_max,
     roulette_wheel,
     spin,
 )
@@ -506,7 +505,7 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
 
     empires = form_empires(population, costs, params.n_imperialists, rng)
     revolution_rate = params.revolution_rate
-    width = resolve_k_max(g, params.k_max) + 1
+    width = params.palette(g) + 1
     table_cells = max(width * g.n, 2 * g.m)
     table = None
 

@@ -62,6 +62,10 @@ class SearchParams:
             raise ValueError(f"penalty {params.penalty} overflows the cost of a {g.m}-edge graph")
         return params
 
+    def palette(self, g: Graph) -> int:
+        """The largest colour an engine draws on `g`: `k_max`, else max degree + 1."""
+        return max_degree(g) + 1 if self.k_max is None else self.k_max
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -74,16 +78,8 @@ class RunResult:
     terminated_by: str
 
 
-def resolve_k_max(g: Graph, k_max: int | None) -> int:
-    if k_max is None:
-        return max_degree(g) + 1
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    return k_max
-
-
 def init_population(g: Graph, params: SearchParams, rng: np.random.Generator) -> list[np.ndarray]:
-    """Random permuted countries, `params.population_size` of them, over `params.k_max`.
+    """Random permuted countries, `params.population_size` of them, over `params.palette(g)`.
 
     Each country is an independent shuffle of the balanced palette
     (1, 2, ..., k_max, 1, 2, ... truncated to n cells), so every colour value
@@ -96,8 +92,7 @@ def init_population(g: Graph, params: SearchParams, rng: np.random.Generator) ->
             f"a population of {params.population_size} x {g.n} vertices exceeds "
             f"the supported {MAX_POPULATION_CELLS} cells"
         )
-    k_max = resolve_k_max(g, params.k_max)
-    base = np.arange(g.n, dtype=np.int64) % k_max + 1
+    base = np.arange(g.n, dtype=np.int64) % params.palette(g) + 1
     return [base[rng.permutation(g.n)] for _ in range(params.population_size)]
 
 

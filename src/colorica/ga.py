@@ -27,7 +27,6 @@ from .engine import (
     cut_points,
     init_population,
     rank,
-    resolve_k_max,
     roulette_wheel,
     spin,
 )
@@ -155,7 +154,7 @@ def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
     empires hold them.
     """
     rng = np.random.default_rng(params.rng_seed)
-    k_max = resolve_k_max(g, params.k_max)
+    k_max = params.palette(g)
     best = BestSoFar(g, params)
 
     population = init_population(g, params, rng)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from colorica import cli, graphs
+from colorica import bench, cli, graphs
 from colorica.cli import build_parser, main
 from colorica.dica import DicaParams
 from colorica.engine import RunResult
@@ -393,6 +393,37 @@ class TestBench:
         assert main(argv) == 0
         assert len(calls) == 1
         assert "2(0)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "instance, override, name",
+        [("file", "k3.col=2", "k3"), ("queen:5", "queen5=2", "queen-5")],
+    )
+    def test_chromatic_naming_no_instance_exits_one(self, instance, override, name, tmp_path, capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(cli, "run_trials", lambda *args, **kw: solves.append(args) or [])
+        spec = str(_write_k3(tmp_path)) if instance == "file" else instance
+        assert main(["bench", spec, "--chromatic", override, "--runs", "1", *FAST]) == 1
+        out, err = capsys.readouterr()
+        unmatched = override.partition("=")[0]
+        assert err == f"error: --chromatic names no instance: {unmatched} (instances: {name})\n"
+        assert out == "" and solves == []
+
+    def test_solvers_are_looked_up_when_called(self, tmp_path, capsys, monkeypatch):
+        # perfbench's probe sees bench's solves by replacing these module attributes
+        calls = []
+
+        def counted(solver):
+            def wrapper(g, params):
+                calls.append(solver.__name__)
+                return solver(g, params)
+            return wrapper
+
+        monkeypatch.setattr(bench, "run_dica", counted(bench.run_dica))
+        monkeypatch.setattr(bench, "run_ga", counted(bench.run_ga))
+        path = _write_k3(tmp_path)
+        assert main(["bench", str(path), "--runs", "2", "--format", "csv", *FAST]) == 0
+        assert calls == ["run_dica", "run_dica", "run_ga", "run_ga"]
+        assert len(capsys.readouterr().out.splitlines()) == 5
 
     def test_bad_generator_spec_exits_one(self):
         assert main(["bench", "complete:x", "--runs", "1"]) == 1

@@ -16,7 +16,7 @@ from colorica.coloring import (
     is_valid,
 )
 from colorica.engine import SearchParams
-from colorica.graphs import Graph, complete_graph
+from colorica.graphs import MAX_VERTICES, Graph, complete_graph
 from colorica.oracle import chromatic_number_exact
 
 
@@ -209,12 +209,6 @@ class TestBatchCosts:
         g = _random_graph(rng, 30, p=0.3)
         _assert_rows_match(g, rng.integers(1, 600, size=(50, 30)), CostParams(30.0))
 
-    def test_sparse_colour_values(self):
-        g = complete_graph(3)
-        rows = np.array([[1, 65537, 10**12], [10**12, 5, 10**12], [0, -4, 0]])
-        costs, conflicts, used = _assert_rows_match(g, rows, CostParams(3.0))
-        assert conflicts == [0, 1, 1] and used == [3, 2, 2]
-
     def test_tiny_chunk_cap_splits_rows_in_order(self, monkeypatch):
         rng = np.random.default_rng(41)
         g = _random_graph(rng, 12, p=0.4)
@@ -281,14 +275,22 @@ class TestBatchCounts:
         conflicts, used = _assert_counts_match(g, rows)
         assert used[0] == palette and used[1] == 1 and conflicts[1] == g.m
 
-    def test_sparse_and_non_positive_colour_values(self, popcount):
+    def test_palette_wider_than_the_cells(self, popcount):
+        # colours 0..MAX_VERTICES over 750 cells: few distinct values, then many
         rng = np.random.default_rng(43)
         g = _random_graph(rng, 30, p=0.3)
-        # few distinct values (a word after renumbering), then many (the mask)
-        few = rng.choice([-(10**12), -3, 0, 7, 65537, 10**12], size=(25, 30))
-        many = rng.integers(-(10**9), 10**9, size=(25, 30))
+        few = rng.choice([0, 7, 63, 64, MAX_VERTICES], size=(25, 30))
+        many = rng.integers(0, MAX_VERTICES + 1, size=(25, 30))
+        many[0], many[1] = 0, MAX_VERTICES
         for rows in (few, many, np.concatenate((few, many))):
             _assert_counts_match(g, rows)
+
+    @pytest.mark.parametrize("bad", [-1, MAX_VERTICES + 1])
+    def test_colour_outside_the_range_is_refused(self, bad):
+        rows = np.ones((4, 3), dtype=np.int64)
+        rows[2, 1] = bad
+        with pytest.raises(ValueError, match=f"colours must be in 0..{MAX_VERTICES}, got "):
+            batch_counts(complete_graph(3), rows)
 
     @pytest.mark.parametrize("palette", [6, 100])
     def test_tiny_chunk_cap_splits_rows_in_order(self, palette, popcount, monkeypatch):

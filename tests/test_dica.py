@@ -39,7 +39,6 @@ from colorica.dica import (
     run_dica,
     unite_similar_empires,
 )
-from colorica.engine import resolve_k_max
 from colorica.graphs import MAX_VERTICES, Graph, complete_graph, mycielski_graph, queen_graph
 
 
@@ -193,16 +192,17 @@ class TestInitPopulation:
         assert max(int(c.max()) for c in pop) == 4
 
 
-class TestResolveKMax:
-    def test_default(self):
-        assert resolve_k_max(complete_graph(3), None) == 3
+class TestPalette:
+    def test_default_is_max_degree_plus_one(self):
+        assert DicaParams().palette(complete_graph(3)) == 3
+        assert DicaParams().palette(mycielski_graph(4)) == 6
 
     def test_explicit_value_wins(self):
-        assert resolve_k_max(complete_graph(3), 7) == 7
+        assert DicaParams(k_max=7).palette(complete_graph(3)) == 7
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            resolve_k_max(complete_graph(3), 0)
+    def test_zero_is_refused_when_the_params_are_made(self):
+        with pytest.raises(ValueError, match="k_max must be in 1..16384, got 0"):
+            DicaParams(k_max=0)
 
 
 class TestFormEmpires:

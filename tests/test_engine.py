@@ -12,7 +12,8 @@ from colorica.coloring import (
     cost_array,
     count_conflicts,
 )
-from colorica.dica import DicaParams
+from colorica import engine
+from colorica.dica import DicaParams, run_dica
 from colorica.engine import (
     MAX_POPULATION_CELLS,
     BestSoFar,
@@ -25,8 +26,8 @@ from colorica.engine import (
     roulette_wheel,
     spin,
 )
-from colorica.ga import GaParams
-from colorica.graphs import MAX_VERTICES, complete_graph, mycielski_graph
+from colorica.ga import GaParams, run_ga
+from colorica.graphs import MAX_VERTICES, Graph, complete_graph, mycielski_graph, queen_graph
 
 
 def _running_sum_pick(weights, r):
@@ -214,6 +215,48 @@ class TestOffer:
             assert (as_list.cost, as_list.conflicts, as_list.used) == (
                 as_array.cost, as_array.conflicts, as_array.used
             )
+
+
+_PATH5 = Graph(5, ((1, 2), (2, 3), (3, 4), (4, 5)))
+
+
+class TestOfferedColours:
+    """`batch_counts` refuses colours outside 0..MAX_VERTICES; every row either
+    engine offers holds colours in 1..params.palette(g), which stays inside."""
+
+    @pytest.mark.parametrize(
+        "g, k_max, size",
+        [
+            (complete_graph(15), None, 40),
+            (complete_graph(15), 7, 40),
+            (mycielski_graph(5), None, 40),
+            (mycielski_graph(5), 7, 40),
+            (queen_graph(5), None, 40),
+            (queen_graph(5), 7, 40),
+            # a palette wider than the population's cells
+            (_PATH5, 60, 4),
+        ],
+        ids=["k15", "k15-k7", "myciel5", "myciel5-k7", "queen5", "queen5-k7", "path5-k60"],
+    )
+    @pytest.mark.parametrize("algo", ["dica", "ga"])
+    def test_every_offered_row_is_in_the_palette(self, algo, g, k_max, size, monkeypatch):
+        batches = []
+
+        def spy(graph, rows):
+            batches.append(np.array(rows))
+            return batch_counts(graph, rows)
+
+        monkeypatch.setattr(engine, "batch_counts", spy)
+        if algo == "dica":
+            params = DicaParams(population_size=size, k_max=k_max, decades=10, rng_seed=3)
+            run_dica(g, params)
+        else:
+            params = GaParams(population_size=size, k_max=k_max, generations=10, rng_seed=3)
+            run_ga(g, params)
+        top = params.palette(g)
+        assert batches
+        for rows in batches:
+            assert rows.shape[1] == g.n and 1 <= rows.min() and rows.max() <= top
 
 
 class TestParamsChecked:

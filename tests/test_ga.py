@@ -8,7 +8,7 @@ import pytest
 import colorica.ga
 from colorica.coloring import CostParams, cost, count_conflicts, distinct_colours, is_valid
 from colorica.dica import TERMINATED_DECADES, TERMINATED_EARLY_STOP
-from colorica.engine import BestSoFar, init_population, resolve_k_max
+from colorica.engine import BestSoFar, init_population
 from colorica.ga import (
     GaParams,
     breed,
@@ -305,7 +305,7 @@ def _child_by_child_ga(g, params, _inspect=None):
     or a copy and a one-cell assignment, scored by `cost` and offered as the best
     as a one-row batch."""
     rng = np.random.default_rng(params.rng_seed)
-    k_max = resolve_k_max(g, params.k_max)
+    k_max = params.palette(g)
     cost_params = params.cost_params(g)
     population = init_population(g, params, rng)
     costs = [cost(g, c, cost_params) for c in population]
