@@ -1,6 +1,6 @@
 """The shared engine core: the ranking and first-cheapest rules, the roulette
-wheel, the segment copy, the params checks, the penalty bound, the seed and
-the population bound."""
+wheel, the segment copy, the params checks, the penalty bound, the seed, the
+population bound and the colours the engines offer."""
 
 import numpy as np
 import pytest
