@@ -253,6 +253,8 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
         name, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"bad --chromatic {item!r}: expected NAME=K")
+        if name in overrides:
+            raise ValueError(f"--chromatic names {name} more than once")
         try:
             overrides[name] = int(value)
         except ValueError:
@@ -260,6 +262,9 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
     _warn_vestigial(ns)
     instances = [_parse_instance(spec) for spec in ns.instances]
     names = [meta.name for _, meta in instances]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"instances {ns.instances[names.index(name)]} and {ns.instances[i]} share the name {name}")
     unmatched = sorted(set(overrides) - set(names))
     if unmatched:
         raise ValueError(f"--chromatic names no instance: {', '.join(unmatched)} (instances: {', '.join(names)})")

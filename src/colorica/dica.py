@@ -15,7 +15,6 @@ roulette-picked rival until one empire remains or the decade budget runs out.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -378,29 +377,15 @@ def empire_total_cost(empire: Empire, xi: float) -> float:
 
 
 def normalized_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-    """Fraction of positions where two colourings disagree; on two stacks of
-    colourings, the fraction for each pair of rows."""
+    """Fraction of positions where two colourings disagree; on stacks of
+    colourings that broadcast together, the fraction for each pair of rows."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.shape != b.shape:
+    if a.shape[-1:] != b.shape[-1:]:
         raise ValueError("colouring lengths differ")
-    return np.count_nonzero(a != b, axis=-1) / a.shape[-1]
-
-
-def _pairs_sharing_a_block(imps: np.ndarray, blocks: int) -> list[tuple[int, int]]:
-    """The row pairs (i, j), i < j, of a (count, n) array that agree on every
-    cell of at least one of `blocks` column blocks (`np.array_split`), sorted."""
-    pairs = set()
-    for block in np.array_split(imps, blocks, axis=1):
-        block = np.ascontiguousarray(block)
-        # each row's block as one bytes key
-        keys = block.view(np.dtype((np.void, block.itemsize * block.shape[1]))).ravel().tolist()
-        groups: dict[bytes, list[int]] = {}
-        for i, key in enumerate(keys):
-            groups.setdefault(key, []).append(i)
-        for members in groups.values():
-            pairs.update(itertools.combinations(members, 2))
-    return sorted(pairs)
+    n = a.shape[-1]
+    # the narrowest unsigned count that holds n gives the same floats as count_nonzero
+    return np.not_equal(a, b).sum(axis=-1, dtype=np.min_scalar_type(n)) / n
 
 
 def unite_similar_empires(
@@ -410,31 +395,28 @@ def unite_similar_empires(
 
     The lower-total-cost empire absorbs the other (its imperialist joins as a
     colony).  Pairs are handled nearest first; totals are from before any merge.
-    A pair within the threshold differs in at most `most = int(threshold * n) + 1`
-    cells (the 1 covers float rounding), so when `most < n` it agrees on every
-    cell of one of `most + 1` column blocks: only pairs that share a block are
-    measured, a pigeonhole filter (Manku, Jain & Das Sarma 2007) that leaves
-    the merged pairs, their distances and their order as measuring every pair.
+    Every pair is measured, a block of rows against all later rows at a time,
+    each block comparing about BATCH_CELLS cells of imperialists narrowed to
+    the smallest integer type that holds their colours.
     """
     if len(empires) < 2:
         return empires
     imps = np.array([e.imperialist for e in empires])
-    most = int(threshold * imps.shape[1]) + 1
-    if most < imps.shape[1]:
-        pairs = _pairs_sharing_a_block(imps, most + 1)
-        if not pairs:
-            return empires
-        rows, cols = np.array(pairs).T
-    else:
-        rows, cols = np.triu_indices(len(empires), 1)
-    dists = normalized_distance(imps[rows], imps[cols])
-    close = np.flatnonzero(dists < threshold)
-    if close.size == 0:
+    imps = imps.astype(np.promote_types(np.min_scalar_type(imps.min()), np.min_scalar_type(imps.max())))
+    count, n = imps.shape
+    per_block = max(1, BATCH_CELLS // (count * n))
+    pairs = []
+    for start in range(0, count - 1, per_block):
+        dists = normalized_distance(imps[start : start + per_block, None], imps[None, start + 1 :])
+        i, j = np.nonzero(dists < threshold)
+        # block row i is imperialist start + i and column j is start + 1 + j, so j >= i keeps i < j
+        upper = j >= i
+        i, j = i[upper], j[upper]
+        pairs += zip(dists[i, j].tolist(), (start + i).tolist(), (start + 1 + j).tolist())
+    if not pairs:
         return empires
     totals = [empire_total_cost(e, xi) for e in empires]
-    pairs = sorted(
-        zip(dists[close].tolist(), rows[close].tolist(), cols[close].tolist())
-    )
+    pairs.sort()
     alive = [True] * len(empires)
     for _, i, j in pairs:
         if not (alive[i] and alive[j]):

@@ -408,6 +408,30 @@ class TestBench:
         assert err == f"error: --chromatic names no instance: {unmatched} (instances: {name})\n"
         assert out == "" and solves == []
 
+    def test_repeated_chromatic_exits_one(self, tmp_path, capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(cli, "run_trials", lambda *args, **kw: solves.append(args) or [])
+        path = _write_k3(tmp_path)
+        argv = ["bench", str(path), "--chromatic", "k3=2", "--chromatic", "k3=3", "--runs", "1", *FAST]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: --chromatic names k3 more than once\n"
+        assert out == "" and solves == []
+
+    def test_instances_sharing_a_name_exit_one(self, tmp_path, capsys, monkeypatch):
+        # a triangle and an edgeless graph would share one report group and one --chromatic
+        solves = []
+        monkeypatch.setattr(cli, "run_trials", lambda *args, **kw: solves.append(args) or [])
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first = _write_k3(tmp_path / "a")
+        second = tmp_path / "b" / "k3.col"
+        second.write_text("p edge 4 0\n")
+        assert main(["bench", str(first), str(second), "--runs", "1", *FAST]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: instances {first} and {second} share the name k3\n"
+        assert out == "" and solves == []
+
     def test_solvers_are_looked_up_when_called(self, tmp_path, capsys, monkeypatch):
         # perfbench's probe sees bench's solves by replacing these module attributes
         calls = []

@@ -668,6 +668,13 @@ class TestNormalizedDistance:
             got = normalized_distance(a, b)
             assert got.tolist() == [normalized_distance(x, y) for x, y in zip(a, b)]
 
+    @pytest.mark.parametrize("n", [255, 256, 300])
+    def test_wholly_different_rows_at_one_byte_count_bounds(self, n):
+        # past 255 cells a one-byte mismatch count would wrap
+        a, b = np.zeros((2, n), dtype=int), np.ones((2, n), dtype=int)
+        assert normalized_distance(a[0], b[0]) == 1.0
+        assert normalized_distance(a, b).tolist() == [1.0, 1.0]
+
 
 class TestUnite:
     def test_identical_imperialists_merge(self):
@@ -764,8 +771,17 @@ def _state(empires, index):
     return [(index[id(e)], [c.tolist() for c in e.colonies], e.colony_costs) for e in empires]
 
 
+def _assert_same_merges(empires, threshold):
+    twin = copy.deepcopy(empires)
+    index = {id(e): i for i, e in enumerate(empires)}
+    index.update({id(e): i for i, e in enumerate(twin)})
+    got = unite_similar_empires(empires, threshold, xi=0.1)
+    want = _unite_all_pairs(twin, threshold, xi=0.1)
+    assert _state(got, index) == _state(want, index)
+
+
 class TestUniteFilter:
-    """The block filter merges what measuring every pair would merge."""
+    """The row-block pass merges what measuring every pair at once would merge."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 49])
     @pytest.mark.parametrize("threshold", [0.0, 0.02, 0.1, 0.5, 1.0, 1.5])
@@ -773,13 +789,46 @@ class TestUniteFilter:
         rng = np.random.default_rng(n * 10 + int(threshold * 100))
         for count in range(2, 15):
             for _ in range(3):
-                empires = _empire_stack(n, count, rng)
-                twin = copy.deepcopy(empires)
-                index = {id(e): i for i, e in enumerate(empires)}
-                index.update({id(e): i for i, e in enumerate(twin)})
-                got = unite_similar_empires(empires, threshold, xi=0.1)
-                want = _unite_all_pairs(twin, threshold, xi=0.1)
-                assert _state(got, index) == _state(want, index)
+                _assert_same_merges(_empire_stack(n, count, rng), threshold)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 49])
+    @pytest.mark.parametrize("threshold", [0.0, 0.02, 0.1, 0.5, 1.0, 1.5])
+    def test_same_merges_in_small_blocks(self, monkeypatch, n, threshold):
+        # 200 cells split every stack of more than 4 rows of 49 cells, and most of 7
+        monkeypatch.setattr(dica, "BATCH_CELLS", 200)
+        rng = np.random.default_rng(n * 10 + int(threshold * 100))
+        for count in range(2, 15):
+            for _ in range(3):
+                _assert_same_merges(_empire_stack(n, count, rng), threshold)
+
+    @pytest.mark.parametrize("threshold", [0.02, 0.5, 1.0])
+    def test_negative_and_wide_colours_stay_apart(self, threshold):
+        # colours 256 apart are equal in one byte, and -1 is 255 in an unsigned byte
+        rng = np.random.default_rng(5)
+        for count in range(2, 15):
+            empires = _empire_stack(7, count, rng)
+            for e in empires:
+                e.imperialist = e.imperialist + 256 * rng.integers(-2, 2, size=7)
+            _assert_same_merges(empires, threshold)
+        for low, high in ((-1, 255), (0, 256), (-129, 127), (44, 300)):
+            a = Empire(imperialist=np.full(7, low), imperialist_cost=1.0)
+            b = Empire(imperialist=np.full(7, high), imperialist_cost=2.0)
+            assert len(unite_similar_empires([a, b], 0.5, xi=0.1)) == 2
+
+    def test_peak_memory_is_bounded(self):
+        # measuring every pair at once took about 97 MB here
+        rng = np.random.default_rng(20)
+        empires = [
+            Empire(imperialist=rng.integers(1, 8, size=49), imperialist_cost=float(c))
+            for c in rng.integers(1, 50, size=600)
+        ]
+        tracemalloc.start()
+        try:
+            unite_similar_empires(empires, 0.5, xi=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_wholly_different_pair_merges_above_one(self):
         a = Empire(imperialist=np.ones(7, dtype=int), imperialist_cost=1.0)

@@ -24,3 +24,9 @@ def test_one_cell_hashes_the_same_twice_and_changes_with_the_seed(hash_grid):
     assert hash_grid.grid_digests(seeds=[1], **cell) == first
     other = hash_grid.grid_digests(seeds=[2], **cell)
     assert all(other[engine] != first[engine] for engine in first)
+
+
+def test_one_engine_hashes_as_it_does_beside_the_other(hash_grid):
+    # the dica-unite line hashes dica alone
+    cell = dict(graphs=[("queen_graph", 5)], seeds=[1], kwargs=[{"population_size": 20, "decades": 3}])
+    assert hash_grid.grid_digests(engines=("dica",), **cell) == {"dica": hash_grid.grid_digests(**cell)["dica"]}

@@ -8,14 +8,18 @@ nesting order, it takes `repr(run_dica(g, DicaParams(rng_seed=s, **kw)))` and
 `repr(run_ga(g, GaParams(rng_seed=s, generations=30, **kw)))` (ga drops
 dica's `decades`) and feeds each engine's reprs in turn to one sha256.  It
 does the same over PENALTY_GRAPHS, SEEDS and PENALTY_KWARGS, whose penalties
-are not dyadic fractions, so float rounding in the costs shows.  It prints
+are not dyadic fractions, so float rounding in the costs shows.  Last it
+hashes dica alone over GRAPHS, SEEDS and UNITE_KWARGS, whose uniting
+thresholds make empires merge (111 merges in its 40 runs), so a change to the
+merge step shows; ga has no merge step.  It prints
 
     dica <sha256>
     ga <sha256>
     dica-penalty <sha256>
     ga-penalty <sha256>
+    dica-unite <sha256>
 
-A change that keeps results bit-identical prints the same four lines before
+A change that keeps results bit-identical prints the same five lines before
 and after.  Uses the standard library and colorica only.
 """
 
@@ -34,23 +38,27 @@ PENALTY_GRAPHS = (("complete_graph", 15), ("mycielski_graph", 5), ("queen_graph"
                   ("queen_graph", 7))
 PENALTY_KWARGS = ({"penalty": 0.1}, {"penalty": 1 / 3, "k_max": 7},
                   {"penalty": 0.7, "population_size": 60, "decades": 30})
+UNITE_KWARGS = ({"uniting_threshold": 0.85, "population_size": 60, "decades": 30},
+                {"uniting_threshold": 0.9, "population_size": 60, "decades": 30, "k_max": 7})
 GA_GENERATIONS = 30
 
 
-def grid_digests(graphs, seeds, kwargs) -> dict[str, str]:
+def grid_digests(graphs, seeds, kwargs, engines=("dica", "ga")) -> dict[str, str]:
     """The sha256 of each engine's result reprs over the grid, as hex."""
     import colorica
 
-    hashes = {"dica": hashlib.sha256(), "ga": hashlib.sha256()}
+    hashes = {engine: hashlib.sha256() for engine in engines}
     for generator, param in graphs:
         g = getattr(colorica, generator)(param)
         for s in seeds:
             for kw in kwargs:
-                ga_kw = {k: v for k, v in kw.items() if k != "decades"}
-                dica = colorica.run_dica(g, colorica.DicaParams(rng_seed=s, **kw))
-                ga = colorica.run_ga(g, colorica.GaParams(rng_seed=s, generations=GA_GENERATIONS, **ga_kw))
-                hashes["dica"].update(repr(dica).encode())
-                hashes["ga"].update(repr(ga).encode())
+                if "dica" in hashes:
+                    dica = colorica.run_dica(g, colorica.DicaParams(rng_seed=s, **kw))
+                    hashes["dica"].update(repr(dica).encode())
+                if "ga" in hashes:
+                    ga_kw = {k: v for k, v in kw.items() if k != "decades"}
+                    ga = colorica.run_ga(g, colorica.GaParams(rng_seed=s, generations=GA_GENERATIONS, **ga_kw))
+                    hashes["ga"].update(repr(ga).encode())
     return {engine: h.hexdigest() for engine, h in hashes.items()}
 
 
@@ -60,6 +68,7 @@ def main() -> int:
         print(f"{engine} {digest}")
     for engine, digest in grid_digests(PENALTY_GRAPHS, SEEDS, PENALTY_KWARGS).items():
         print(f"{engine}-penalty {digest}")
+    print(f"dica-unite {grid_digests(GRAPHS, SEEDS, UNITE_KWARGS, engines=('dica',))['dica']}")
     return 0
 
 
