@@ -1,23 +1,25 @@
 """Imperialist-style population search over colourings.
 
 A population of candidate colourings is split into empires, each holding one
-imperialist (its best member) and a share of colonies.  Every decade each
+imperialist (its best member) and a share of colonies; a run keeps all
+imperialists in one array and all colonies in another.  Every decade each
 colony is pulled toward its imperialist by two-point segment copy, may be
 perturbed by a two-cell swap, and can displace the imperialist if it gets
-cheaper; the colonies of all empires move and are scored as one batch.  Each
-imperialist then takes a few steps of clash-directed swap descent, a memetic
-addition in the manner of Tabucol (Hertz & de Werra 1987) and HEA (Galinier &
-Hao 1999): without it, empires homogenize and the damped revolution rate
-leaves nothing to cross the clash plateaus.  Empires that
-look alike merge, and the weakest empire loses its worst colony to a
-roulette-picked rival until one empire remains or the decade budget runs out.
+cheaper; all colonies move and are scored as one batch.  Each imperialist
+then takes a few steps of clash-directed swap descent, a memetic addition in
+the manner of Tabucol (Hertz & de Werra 1987) and HEA (Galinier & Hao 1999):
+without it, empires homogenize and the damped revolution rate leaves nothing
+to cross the clash plateaus.  Empires that look alike merge, and the weakest
+empire loses its worst colony to a roulette-picked rival until one empire
+remains or the decade budget runs out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -47,8 +49,10 @@ from .graphs import Graph
 # 65% a gate of 10 successes in 20 runs fails for about one seed window in 19.
 IMPERIALIST_DESCENT_STEPS = 4
 
+PAIR_SLICE = 4096  # close merge pairs are read into Python this many at a time
+
 # inspection hook: (stage, decade, empires) -> None
-InspectFn = Callable[[str, int, list["Empire"]], None]
+InspectFn = Callable[[str, int, "Empires"], None]
 
 
 @dataclass(frozen=True)
@@ -65,14 +69,11 @@ class DicaParams(SearchParams):
         if self.population_size < 2:
             raise ValueError(f"population_size must be >= 2, got {self.population_size}")
         if not 0.0 < self.imperialist_fraction < 1.0:
-            raise ValueError(
-                f"imperialist_fraction must be in (0, 1), got {self.imperialist_fraction}"
-            )
+            raise ValueError(f"imperialist_fraction must be in (0, 1), got {self.imperialist_fraction}")
         if not self.n_imperialists < self.population_size:
             raise ValueError(
                 f"imperialist_fraction {self.imperialist_fraction} of population_size "
-                f"{self.population_size} makes {self.n_imperialists} imperialists, "
-                "leaving no colony"
+                f"{self.population_size} makes {self.n_imperialists} imperialists, leaving no colony"
             )
         if self.decades < 1:
             raise ValueError(f"decades must be >= 1, got {self.decades}")
@@ -93,72 +94,91 @@ class DicaParams(SearchParams):
 
 @dataclass
 class Empire:
+    """One empire as `_inspect` sees it: views into the run's arrays, valid for that call."""
+
     imperialist: np.ndarray
     imperialist_cost: float
-    colonies: list[np.ndarray] = field(default_factory=list)
-    colony_costs: list[float] = field(default_factory=list)
+    colonies: np.ndarray
+    colony_costs: list[float]
 
     def size(self) -> int:
         return 1 + len(self.colonies)
+
+
+@dataclass(eq=False)
+class Empires(Sequence):
+    """A run's countries as two arrays.  Row e of `imperialists` heads empire e;
+    `colonies` holds every colony, empire by empire, each empire's in the order
+    it gained them, `sizes[e]` for empire e.  The cost lists hold each row's
+    float64 cost; `table`, once set, is the imperialists' `neighbour_table`.
+    Indexing or iterating gives each empire's `Empire` view, built on demand."""
+
+    imperialists: np.ndarray
+    imperialist_costs: list[float]
+    colonies: np.ndarray
+    colony_costs: list[float]
+    sizes: list[int]
+    table: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        self.bounds = list(accumulate(self.sizes, initial=0))  # empire e's colonies: bounds[e]:bounds[e + 1]
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, e: int) -> Empire:
+        e = range(len(self))[e]
+        s, t = self.bounds[e], self.bounds[e + 1]
+        return Empire(self.imperialists[e], self.imperialist_costs[e], self.colonies[s:t], self.colony_costs[s:t])
+
+    def __iter__(self):
+        b, cols, costs = self.bounds, self.colonies, self.colony_costs
+        for imp, cost, s, t in zip(self.imperialists, self.imperialist_costs, b, b[1:]):
+            yield Empire(imp, cost, cols[s:t], costs[s:t])
+
+    def totals(self, xi: float) -> list[float]:
+        """Each empire's imperialist cost plus xi times its colonies' mean cost (0
+        with none); `math.fsum` rounds the sum the same way on every Python."""
+        b, costs = self.bounds, self.colony_costs
+        means = [math.fsum(costs[s:t]) / (t - s) if t > s else 0.0 for s, t in zip(b, b[1:])]
+        return [cost + xi * mean for cost, mean in zip(self.imperialist_costs, means)]
 
 
 def _largest_remainder(powers: Sequence[float], total: int) -> list[int]:
     """Apportion `total` items by the given shares: floors, then largest fractions."""
     quotas = [p * total for p in powers]
     counts = [math.floor(q) for q in quotas]
-    by_fraction = sorted(
-        range(len(powers)), key=lambda i: (-(quotas[i] - math.floor(quotas[i])), i)
-    )
+    by_fraction = sorted(range(len(powers)), key=lambda i: (-(quotas[i] - counts[i]), i))
     for i in by_fraction[: total - sum(counts)]:
         counts[i] += 1
     return counts
 
 
 def form_empires(
-    countries: Sequence[np.ndarray],
-    costs: Sequence[float],
-    n_imperialists: int,
-    rng: np.random.Generator,
-) -> list[Empire]:
+    countries: np.ndarray | Sequence[np.ndarray], costs: Sequence[float], n_imperialists: int, rng: np.random.Generator
+) -> Empires:
     """Take the n cheapest countries as imperialists and share out the rest.
 
     Colony counts follow each imperialist's normalized power (cheaper is more
     powerful); the actual colonies are dealt out by a random permutation.
     """
+    countries = np.asarray(countries)
     if len(countries) != len(costs):
         raise ValueError("countries and costs length mismatch")
     if not 1 <= n_imperialists < len(countries):
-        raise ValueError(
-            f"need 1 <= n_imperialists < population, got {n_imperialists} of {len(countries)}"
-        )
+        raise ValueError(f"need 1 <= n_imperialists < population, got {n_imperialists} of {len(countries)}")
     order = rank(costs)
-    imp_idx = order[:n_imperialists]
-    col_idx = order[n_imperialists:]
-
+    imp_idx, col_idx = order[:n_imperialists], order[n_imperialists:]
     max_imp_cost = max(costs[i] for i in imp_idx)
     shifted = [costs[i] - max_imp_cost for i in imp_idx]
     total = math.fsum(shifted)
-    if total == 0:
-        powers = [1.0 / n_imperialists] * n_imperialists
-    else:
-        powers = [s / total for s in shifted]
-
+    powers = [1.0 / n_imperialists] * n_imperialists if total == 0 else [s / total for s in shifted]
     counts = _largest_remainder(powers, len(col_idx))
-    perm = rng.permutation(len(col_idx))
-    empires: list[Empire] = []
-    start = 0
-    for e in range(n_imperialists):
-        picked = [col_idx[int(p)] for p in perm[start : start + counts[e]]]
-        start += counts[e]
-        empires.append(
-            Empire(
-                imperialist=countries[imp_idx[e]],
-                imperialist_cost=float(costs[imp_idx[e]]),
-                colonies=[countries[i] for i in picked],
-                colony_costs=[float(costs[i]) for i in picked],
-            )
-        )
-    return empires
+    dealt = [col_idx[p] for p in rng.permutation(len(col_idx)).tolist()]
+    return Empires(
+        countries[imp_idx], [float(costs[i]) for i in imp_idx],
+        countries[dealt], [float(costs[i]) for i in dealt], counts,
+    )
 
 
 def assimilate_at(imperialist, colony, c1: int, c2: int) -> np.ndarray:
@@ -173,9 +193,7 @@ def _swap_cells(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return cells
 
 
-def assimilate(
-    imperialist: np.ndarray, colony: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
+def assimilate(imperialist: np.ndarray, colony: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     c1, c2 = cut_points(len(colony), 1, rng)[0].tolist()
     return assimilate_at(imperialist, colony, c1, c2)
 
@@ -201,11 +219,7 @@ def revolve(colony: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def colony_step(
-    imperialists: np.ndarray,
-    colonies: np.ndarray,
-    owner: np.ndarray,
-    revolution_rate: float,
-    rng: np.random.Generator,
+    imperialists: np.ndarray, colonies: np.ndarray, owner: np.ndarray, revolution_rate: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Assimilate and revolve a whole (count, n) batch of colonies at once.
 
@@ -232,18 +246,12 @@ def neighbour_table(g: Graph, rows: np.ndarray, width: int) -> np.ndarray:
     cells = count * width * n
     # coloured[e, x] is where vertex x's own colour plane starts in row e
     coloured = (np.arange(count) * (width * n))[:, None] + rows * n
-    table = np.bincount((coloured[:, ev] + eu).ravel(), minlength=cells) + np.bincount(
-        (coloured[:, eu] + ev).ravel(), minlength=cells
-    )
-    return table.reshape(count, width, n)
+    table = np.bincount((coloured[:, ev] + eu).ravel(), minlength=cells)
+    return (table + np.bincount((coloured[:, eu] + ev).ravel(), minlength=cells)).reshape(count, width, n)
 
 
 def descend(
-    g: Graph,
-    cols: np.ndarray,
-    steps: int,
-    rng: np.random.Generator,
-    table: np.ndarray | None = None,
+    g: Graph, cols: np.ndarray, steps: int, rng: np.random.Generator, table: np.ndarray | None = None
 ) -> np.ndarray:
     """Clash-directed swap descent on each row of a (count, n) array of colourings.
 
@@ -349,31 +357,21 @@ def _descend_wide(g: Graph, row: np.ndarray, steps: int, rng: np.random.Generato
     return out
 
 
-def exchange_if_better(empire: Empire) -> bool:
-    """Swap the imperialist with its cheapest colony when that colony is cheaper."""
-    if not empire.colonies:
-        return False
-    best = empire.colony_costs.index(min(empire.colony_costs))
-    if empire.colony_costs[best] < empire.imperialist_cost:
-        empire.imperialist, empire.colonies[best] = (
-            empire.colonies[best],
-            empire.imperialist,
-        )
-        empire.imperialist_cost, empire.colony_costs[best] = (
-            empire.colony_costs[best],
-            empire.imperialist_cost,
-        )
-        return True
-    return False
-
-
-def empire_total_cost(empire: Empire, xi: float) -> float:
-    mean = (
-        math.fsum(empire.colony_costs) / len(empire.colony_costs)
-        if empire.colony_costs
-        else 0.0
-    )
-    return empire.imperialist_cost + xi * mean
+def exchange_if_better(empires: Empires) -> list[int]:
+    """In each empire, swap the imperialist with its first cheapest colony when
+    that colony is strictly cheaper.  Returns the positions of the empires that swapped."""
+    imp_costs, costs, b = empires.imperialist_costs, empires.colony_costs, empires.bounds
+    swapped, rows = [], []
+    for e, (s, t) in enumerate(zip(b, b[1:])):
+        if s < t and (low := min(costs[s:t])) < imp_costs[e]:
+            c = costs.index(low, s, t)
+            imp_costs[e], costs[c] = low, imp_costs[e]
+            swapped.append(e)
+            rows.append(c)
+    if swapped:
+        imps, cols = empires.imperialists, empires.colonies
+        imps[swapped], cols[rows] = cols[rows], imps[swapped]
+    return swapped
 
 
 def normalized_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
@@ -388,143 +386,145 @@ def normalized_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     return np.not_equal(a, b).sum(axis=-1, dtype=np.min_scalar_type(n)) / n
 
 
-def unite_similar_empires(
-    empires: list[Empire], threshold: float, xi: float
-) -> list[Empire]:
+def unite_similar_empires(empires: Empires, threshold: float, xi: float) -> Empires:
     """Merge empire pairs whose imperialists differ on less than `threshold` of cells.
 
-    The lower-total-cost empire absorbs the other (its imperialist joins as a
-    colony).  Pairs are handled nearest first; totals are from before any merge.
-    Every pair is measured, a block of rows against all later rows at a time,
-    each block comparing about BATCH_CELLS cells of imperialists narrowed to
-    the smallest integer type that holds their colours.
+    The lower-total-cost empire absorbs the other: the loser's imperialist,
+    then its colonies, join the end of the winner's colonies.  Pairs go
+    nearest first, then by index; totals are from before any merge.  Every
+    pair is measured, a block of rows against all later rows at a time, each
+    block comparing about BATCH_CELLS cells of imperialists narrowed to the
+    smallest integer type that holds their colours.  The close pairs are kept
+    as a float64 distance and two int32 row arrays and walked in slices of
+    PAIR_SLICE.  Returns new Empires when any pair is close, else `empires`.
     """
-    if len(empires) < 2:
+    count = len(empires)
+    if count < 2:
         return empires
-    imps = np.array([e.imperialist for e in empires])
+    imps = empires.imperialists
     imps = imps.astype(np.promote_types(np.min_scalar_type(imps.min()), np.min_scalar_type(imps.max())))
-    count, n = imps.shape
-    per_block = max(1, BATCH_CELLS // (count * n))
-    pairs = []
+    per_block = max(1, BATCH_CELLS // imps.size)
+    dists, rows, cols = [], [], []
     for start in range(0, count - 1, per_block):
-        dists = normalized_distance(imps[start : start + per_block, None], imps[None, start + 1 :])
-        i, j = np.nonzero(dists < threshold)
+        block = normalized_distance(imps[start : start + per_block, None], imps[None, start + 1 :])
+        i, j = np.nonzero(block < threshold)
         # block row i is imperialist start + i and column j is start + 1 + j, so j >= i keeps i < j
         upper = j >= i
         i, j = i[upper], j[upper]
-        pairs += zip(dists[i, j].tolist(), (start + i).tolist(), (start + 1 + j).tolist())
-    if not pairs:
+        dists.append(block[i, j])
+        rows.append((start + i).astype(np.int32))
+        cols.append((start + 1 + j).astype(np.int32))
+    # joined one at a time, so that no pair is held twice over
+    dists = np.concatenate(dists)
+    if not dists.size:
         return empires
-    totals = [empire_total_cost(e, xi) for e in empires]
-    pairs.sort()
-    alive = [True] * len(empires)
-    for _, i, j in pairs:
-        if not (alive[i] and alive[j]):
-            continue
-        win, lose = (i, j) if (totals[i], i) <= (totals[j], j) else (j, i)
-        empires[win].colonies.append(empires[lose].imperialist)
-        empires[win].colony_costs.append(empires[lose].imperialist_cost)
-        empires[win].colonies.extend(empires[lose].colonies)
-        empires[win].colony_costs.extend(empires[lose].colony_costs)
-        alive[lose] = False
-    return [e for k, e in enumerate(empires) if alive[k]]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    by_distance = np.lexsort((cols, rows, dists))
+    totals = empires.totals(xi)
+    alive = [True] * count
+    # each empire's colonies as runs of rows of the colonies, then the imperialists
+    groups = [[range(s, t)] for s, t in zip(empires.bounds, empires.bounds[1:])]
+    for start in range(0, by_distance.size, PAIR_SLICE):
+        at = by_distance[start : start + PAIR_SLICE]
+        for i, j in zip(rows[at].tolist(), cols[at].tolist()):
+            if not (alive[i] and alive[j]):
+                continue
+            win, lose = (i, j) if (totals[i], i) <= (totals[j], j) else (j, i)
+            groups[win] += [(len(empires.colony_costs) + lose,), *groups[lose]]
+            alive[lose] = False
+    kept = [e for e in range(count) if alive[e]]
+    owned = [list(chain.from_iterable(groups[e])) for e in kept]
+    order = list(chain.from_iterable(owned))
+    costs = empires.colony_costs + empires.imperialist_costs
+    return Empires(
+        empires.imperialists[kept], [empires.imperialist_costs[e] for e in kept],
+        np.concatenate((empires.colonies, empires.imperialists))[order], [costs[i] for i in order],
+        [len(o) for o in owned], None if empires.table is None else empires.table[kept],
+    )
 
 
-def imperialistic_competition(
-    empires: list[Empire], xi: float, rng: np.random.Generator
-) -> list[Empire]:
+def imperialistic_competition(empires: Empires, xi: float, rng: np.random.Generator) -> Empires:
     """The weakest empire loses its worst colony to a roulette-picked rival.
 
     Rivals are weighted by how far their total cost sits below the weakest
     empire's.  A colony-less weakest empire hands over its imperialist and is
-    dissolved.  Ties for weakest empire and worst colony go to the highest index.
+    dissolved.  Ties for weakest empire and worst colony go to the highest
+    index.  The row moves, in place, to the end of the winner's colonies.
     """
-    if len(empires) < 2:
+    count = len(empires)
+    if count < 2:
         return empires
-    totals = [empire_total_cost(e, xi) for e in empires]
+    totals = empires.totals(xi)
     weakest = rank(totals)[-1]
-    rivals = [i for i in range(len(empires)) if i != weakest]
+    rivals = [i for i in range(count) if i != weakest]
     wheel = roulette_wheel([totals[weakest] - totals[i] for i in rivals])
     if wheel[1] > 0.0:
         winner = rivals[int(spin(wheel, rng.random()))]
     else:  # every rival is as weak as the weakest: a uniform pick
         winner = rivals[int(rng.integers(len(rivals)))]
-    loser = empires[weakest]
-    if loser.colonies:
-        worst = rank(loser.colony_costs)[-1]
-        empires[winner].colonies.append(loser.colonies.pop(worst))
-        empires[winner].colony_costs.append(loser.colony_costs.pop(worst))
-        return empires
-    empires[winner].colonies.append(loser.imperialist)
-    empires[winner].colony_costs.append(loser.imperialist_cost)
-    return [e for i, e in enumerate(empires) if i != weakest]
+    b, cols, costs = empires.bounds, empires.colonies, empires.colony_costs
+    s, t = b[weakest], b[weakest + 1]
+    if s < t:
+        worst = s + rank(costs[s:t])[-1]
+        # after the worst row leaves, the winner's colonies end at `to`
+        to = b[winner + 1] - (weakest < winner)
+        lo, hi = sorted((worst, to))
+        cols[lo : hi + 1] = np.roll(cols[lo : hi + 1], 1 if to < worst else -1, axis=0)
+        costs.insert(to, costs.pop(worst))
+        empires.sizes[weakest] -= 1
+    else:
+        empires.colonies = np.insert(cols, b[winner + 1], empires.imperialists[weakest], axis=0)
+        costs.insert(b[winner + 1], empires.imperialist_costs.pop(weakest))
+        empires.imperialists = np.delete(empires.imperialists, weakest, axis=0)
+        empires.table = None if empires.table is None else np.delete(empires.table, weakest, axis=0)
+        del empires.sizes[weakest]
+        winner -= weakest < winner
+    empires.sizes[winner] += 1
+    empires.bounds = list(accumulate(empires.sizes, initial=0))
+    return empires
 
 
 def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) -> RunResult:
     """Full search loop; deterministic for a given (graph, params) pair.
 
-    Every decade all colonies, stacked in empire order, take one `colony_step`
-    and are offered together to `BestSoFar`, which counts them, keeps the
-    first cheapest and returns their float64 costs; these go back into each
-    Empire before its exchange.  Once every empire has made its exchange, and
-    before the `post_exchange` inspection, all imperialists get
-    IMPERIALIST_DESCENT_STEPS steps of `descend` together, drawn from the
-    run's own RNG, and are offered the same way; each imperialist's cached
-    cost becomes its float64 cost.
+    The run is one `Empires`: an (E, n) imperialist array and a (C, n) colony
+    array.  Every decade all colonies take one `colony_step` and are offered
+    together to `BestSoFar`, which counts them, keeps the first cheapest and
+    returns their float64 costs, and `exchange_if_better` swaps rows between
+    the two arrays.  Then, before the `post_exchange` inspection, all
+    imperialists take IMPERIALIST_DESCENT_STEPS steps of `descend` together,
+    drawn from the run's own RNG, and are offered for their costs.  `_inspect`
+    gets the `Empires`, whose `Empire` views are built only as it reads them.
 
     When all imperialists' `neighbour_table` over the palette 0..k_max fits
-    one of `descend`'s batches, the run carries it from decade to decade
-    instead of `descend` rebuilding it: an exchange rebuilds that empire's
-    row, the descent keeps it up to date, and the rows of empires that merge
-    or dissolve are dropped.  Every colour stays in 1..k_max, and the result
-    is the same with or without the carried table.
+    one of `descend`'s batches, it is carried from decade to decade as
+    `Empires.table`: an exchange rebuilds that empire's row, the descent keeps
+    it up to date, and the rows of empires that merge or dissolve are dropped.
+    Every colour stays in 1..k_max; the result is the same with or without it.
     """
     rng = np.random.default_rng(params.rng_seed)
     best = BestSoFar(g, params)
-
-    population = init_population(g, params, rng)
-    costs = best.offer(population).tolist()
-
-    empires = form_empires(population, costs, params.n_imperialists, rng)
+    population = np.array(init_population(g, params, rng))
+    empires = form_empires(population, best.offer(population).tolist(), params.n_imperialists, rng)
     revolution_rate = params.revolution_rate
     width = params.palette(g) + 1
     table_cells = max(width * g.n, 2 * g.m)
-    table = None
 
     for decade in range(params.decades):
-        sizes = [len(e.colonies) for e in empires]
-        children = colony_step(
-            np.array([e.imperialist for e in empires]),
-            np.array([c for e in empires for c in e.colonies]),
-            np.repeat(np.arange(len(empires)), sizes),
-            revolution_rate,
-            rng,
-        )
-        costs = best.offer(children).tolist()
-        start = 0
-        swapped = []
-        for i, (empire, size) in enumerate(zip(empires, sizes)):
-            empire.colonies[:] = children[start : start + size]
-            empire.colony_costs[:] = costs[start : start + size]
-            start += size
-            if exchange_if_better(empire):
-                swapped.append(i)
-        imperialists = np.array([e.imperialist for e in empires])
-        if table is None and len(empires) * table_cells <= BATCH_CELLS:
-            table = neighbour_table(g, imperialists, width)
-        elif table is not None and swapped:
-            table[swapped] = neighbour_table(g, imperialists[swapped], width)
-        imperialists = descend(g, imperialists, IMPERIALIST_DESCENT_STEPS, rng, table)
-        costs = best.offer(imperialists).tolist()
-        for empire, imp, imp_cost in zip(empires, imperialists, costs):
-            empire.imperialist, empire.imperialist_cost = imp, imp_cost
+        owner = np.repeat(np.arange(len(empires)), empires.sizes)
+        empires.colonies = colony_step(empires.imperialists, empires.colonies, owner, revolution_rate, rng)
+        empires.colony_costs = best.offer(empires.colonies).tolist()
+        swapped = exchange_if_better(empires)
+        if empires.table is None and len(empires) * table_cells <= BATCH_CELLS:
+            empires.table = neighbour_table(g, empires.imperialists, width)
+        elif empires.table is not None and swapped:
+            empires.table[swapped] = neighbour_table(g, empires.imperialists[swapped], width)
+        empires.imperialists = descend(g, empires.imperialists, IMPERIALIST_DESCENT_STEPS, rng, empires.table)
+        empires.imperialist_costs = best.offer(empires.imperialists).tolist()
         if _inspect is not None:
             _inspect("post_exchange", decade, empires)
-        row_of = {id(e): i for i, e in enumerate(empires)}
         empires = unite_similar_empires(empires, params.uniting_threshold, params.xi)
         empires = imperialistic_competition(empires, params.xi, rng)
-        if table is not None and len(empires) < len(row_of):
-            table = table[[row_of[id(e)] for e in empires]]
         revolution_rate *= params.damp_ratio
         if _inspect is not None:
             _inspect("end", decade, empires)

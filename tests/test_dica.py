@@ -1,6 +1,6 @@
 """Imperialist-style engine: operator worked examples, contracts, run invariants."""
 
-import copy
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,12 +22,11 @@ from colorica.dica import (
     TERMINATED_EARLY_STOP,
     TERMINATED_SINGLE_EMPIRE,
     DicaParams,
-    Empire,
+    Empires,
     assimilate,
     assimilate_at,
     colony_step,
     descend,
-    empire_total_cost,
     exchange_if_better,
     form_empires,
     imperialistic_competition,
@@ -42,15 +41,27 @@ from colorica.dica import (
 from colorica.graphs import MAX_VERTICES, Graph, complete_graph, mycielski_graph, queen_graph
 
 
-def _empire(imp_cost, colony_costs, n=4, seed=0):
-    """Empire with distinguishable colourings and prescribed costs."""
-    rng = np.random.default_rng(seed)
-    return Empire(
-        imperialist=rng.integers(1, 5, size=n),
-        imperialist_cost=float(imp_cost),
-        colonies=[rng.integers(1, 5, size=n) for _ in colony_costs],
-        colony_costs=[float(c) for c in colony_costs],
+def _stack(*empires):
+    """Empires from (imperialist, imperialist cost, colonies, colony costs) tuples."""
+    n = len(empires[0][0])
+    return Empires(
+        np.array([imp for imp, _, _, _ in empires]),
+        [float(cost) for _, cost, _, _ in empires],
+        np.array([col for _, _, cols, _ in empires for col in cols], dtype=np.int64).reshape(-1, n),
+        [float(c) for _, _, _, costs in empires for c in costs],
+        [len(cols) for _, _, cols, _ in empires],
     )
+
+
+def _empires(*specs, n=4):
+    """Empires from (imperialist cost, colony costs) pairs; every row is a different colouring."""
+    rows = iter(np.arange(1, 1 + n * (len(specs) + sum(len(c) for _, c in specs))).reshape(-1, n))
+    return _stack(*[(next(rows), cost, [next(rows) for _ in costs], costs) for cost, costs in specs])
+
+
+def _state(empires):
+    """Each empire's imperialist row and cost and its colony rows and costs, as lists."""
+    return [[e.imperialist.tolist(), e.imperialist_cost, e.colonies.tolist(), list(e.colony_costs)] for e in empires]
 
 
 class TestAssimilate:
@@ -600,44 +611,62 @@ class TestColonyStep:
 
 class TestExchange:
     def test_cheaper_colony_takes_over(self):
-        e = _empire(5, [6, 3, 7])
-        old_imp = e.imperialist
-        old_best = e.colonies[1]
-        assert exchange_if_better(e)
-        assert e.imperialist is old_best
-        assert e.colonies[1] is old_imp
-        assert e.imperialist_cost == 3
-        assert e.colony_costs[1] == 5
+        empires = _empires((5, [6, 3, 7]), (2, [4]), (8, [1, 9, 1]))
+        imps, cols = empires.imperialists.copy(), empires.colonies.copy()
+        assert exchange_if_better(empires) == [0, 2]
+        # each swapping imperialist takes its first cheapest colony's slot
+        assert empires.imperialists.tolist() == [cols[1].tolist(), imps[1].tolist(), cols[4].tolist()]
+        assert empires.colonies[[1, 4]].tolist() == [imps[0].tolist(), imps[2].tolist()]
+        assert np.array_equal(np.delete(empires.colonies, [1, 4], axis=0), np.delete(cols, [1, 4], axis=0))
+        assert empires.imperialist_costs == [3, 2, 1]
+        assert empires.colony_costs == [6, 5, 7, 4, 8, 9, 1]
 
     def test_tie_keeps_incumbent(self):
-        e = _empire(3, [3, 4])
-        assert not exchange_if_better(e)
-        assert e.imperialist_cost == 3
-        assert e.colony_costs == [3, 4]
+        empires = _empires((3, [3, 4]))
+        imps, cols = empires.imperialists.copy(), empires.colonies.copy()
+        assert exchange_if_better(empires) == []
+        assert empires.imperialist_costs == [3]
+        assert empires.colony_costs == [3, 4]
+        assert np.array_equal(empires.imperialists, imps) and np.array_equal(empires.colonies, cols)
 
     def test_no_colonies_no_change(self):
-        e = _empire(9, [])
-        assert not exchange_if_better(e)
+        empires = _empires((9, []), (5, [1]))
+        imp = empires.imperialists[0].copy()
+        assert exchange_if_better(empires) == [1]
+        assert empires.imperialist_costs[0] == 9
+        assert empires.imperialists[0].tolist() == imp.tolist()
 
 
 class TestEmpireTotalCost:
     def test_weighted_mean_example(self):
-        e = _empire(4, [6, 8])
-        assert empire_total_cost(e, 0.1) == pytest.approx(4.7)
+        assert _empires((4, [6, 8])).totals(0.1) == [pytest.approx(4.7)]
 
     def test_zero_weight_ignores_colonies(self):
-        e = _empire(4, [100, 200])
-        assert empire_total_cost(e, 0.0) == 4
+        assert _empires((4, [100, 200])).totals(0.0) == [4]
 
     def test_empty_colony_mean_is_zero(self):
-        e = _empire(9, [])
-        assert empire_total_cost(e, 0.1) == 9
+        assert _empires((9, [])).totals(0.1) == [9]
+
+    def test_each_empire_weighs_its_own_colonies(self):
+        assert _empires((4, [6, 8]), (1, []), (2, [3])).totals(1.0) == [11, 1, 5]
 
     def test_colony_mean_is_correctly_rounded(self):
         # a plain left-to-right sum of ten 0.1s gives 0.9999999999999999 on
         # Python before 3.12; the rounding must not depend on the Python version
-        e = _empire(0, [0.1] * 10)
-        assert empire_total_cost(e, 1.0) == 0.1
+        assert _empires((0, [0.1] * 10)).totals(1.0) == [0.1]
+
+
+class TestEmpiresViews:
+    def test_views_show_each_empire_in_turn(self):
+        empires = _empires((5, [6, 3]), (2, []), (8, [1]))
+        views = list(empires)
+        assert [e.size() for e in views] == [3, 1, 2]
+        assert [e.imperialist_cost for e in views] == [5, 2, 8]
+        assert [e.colony_costs for e in views] == [[6, 3], [], [1]]
+        assert views[2].colonies.tolist() == [empires.colonies[2].tolist()]
+        assert _state([empires[-1]]) == _state(views[2:]) and _state([empires[0]]) == _state(views[:1])
+        with pytest.raises(IndexError):
+            empires[3]
 
 
 class TestNormalizedDistance:
@@ -678,73 +707,66 @@ class TestNormalizedDistance:
 
 class TestUnite:
     def test_identical_imperialists_merge(self):
-        a = _empire(4, [7], seed=1)
-        b = Empire(
-            imperialist=a.imperialist.copy(),
-            imperialist_cost=5.0,
-            colonies=[np.array([9, 9, 9, 9])],
-            colony_costs=[9.0],
-        )
-        merged = unite_similar_empires([a, b], 0.02, xi=0.1)
+        imp = np.array([1, 2, 3, 4])
+        empires = _stack((imp, 4.0, [[5, 5, 5, 5]], [7.0]), (imp.copy(), 5.0, [[9, 9, 9, 9]], [9.0]))
+        merged = unite_similar_empires(empires, 0.02, xi=0.1)
         assert len(merged) == 1
-        assert merged[0] is a  # lower total cost absorbs
-        assert len(a.colonies) == 3
-        assert 5.0 in a.colony_costs  # absorbed imperialist demoted to colony
+        # the lower total cost absorbs: the loser's imperialist, then its colonies, join its colonies
+        assert _state(merged) == [[[1, 2, 3, 4], 4.0, [[5, 5, 5, 5], [1, 2, 3, 4], [9, 9, 9, 9]], [7.0, 5.0, 9.0]]]
 
     def test_lower_total_cost_wins_regardless_of_order(self):
-        a = _empire(8, [], seed=2)
-        b = Empire(imperialist=a.imperialist.copy(), imperialist_cost=2.0)
-        merged = unite_similar_empires([a, b], 0.5, xi=0.1)
-        assert len(merged) == 1
-        assert merged[0] is b
+        imp = np.array([1, 2, 3, 4])
+        merged = unite_similar_empires(_stack((imp, 8.0, [], []), (imp + 0, 2.0, [], [])), 0.5, xi=0.1)
+        assert merged.imperialist_costs == [2.0] and merged.colony_costs == [8.0]
 
     def test_one_differing_cell_out_of_eleven_does_not_merge(self):
         imp = np.ones(11, dtype=int)
         other = imp.copy()
         other[0] = 2
-        a = Empire(imperialist=imp, imperialist_cost=1.0)
-        b = Empire(imperialist=other, imperialist_cost=1.0)
-        # 1/11 is above the 0.02 bound, so both empires survive
-        assert len(unite_similar_empires([a, b], 0.02, xi=0.1)) == 2
+        empires = _stack((imp, 1.0, [], []), (other, 1.0, [], []))
+        # 1/11 is above the 0.02 bound, so both empires survive, untouched
+        assert unite_similar_empires(empires, 0.02, xi=0.1) is empires
 
     def test_zero_threshold_never_merges(self):
-        a = _empire(1, [], seed=3)
-        b = Empire(imperialist=a.imperialist.copy(), imperialist_cost=1.0)
-        assert len(unite_similar_empires([a, b], 0.0, xi=0.1)) == 2
+        imp = np.array([1, 2, 3, 4])
+        assert len(unite_similar_empires(_stack((imp, 1.0, [], []), (imp + 0, 1.0, [], [])), 0.0, xi=0.1)) == 2
 
     def test_absorbed_empire_cannot_absorb_later(self):
         base = np.ones(4, dtype=int)
-        near = base.copy()
-        a = Empire(imperialist=base, imperialist_cost=1.0)
-        b = Empire(imperialist=near.copy(), imperialist_cost=2.0)
-        c = Empire(imperialist=near.copy(), imperialist_cost=3.0)
-        merged = unite_similar_empires([a, b, c], 0.5, xi=0.0)
+        empires = _stack((base, 1.0, [], []), (base + 0, 2.0, [], []), (base + 0, 3.0, [], []))
+        merged = unite_similar_empires(empires, 0.5, xi=0.0)
         assert len(merged) == 1
-        assert merged[0] is a
-        assert sorted(merged[0].colony_costs) == [2.0, 3.0]
+        assert merged.imperialist_costs == [1.0]
+        assert sorted(merged.colony_costs) == [2.0, 3.0]
+
+    def test_the_carried_table_keeps_the_survivors_rows(self):
+        imp = np.array([1, 2, 3, 4])
+        empires = _stack((imp, 3.0, [], []), (imp + 1, 1.0, [], []), (imp + 0, 2.0, [], []))
+        empires.table = np.arange(3 * 2 * 4).reshape(3, 2, 4)
+        merged = unite_similar_empires(empires, 0.5, xi=0.1)
+        assert merged.imperialist_costs == [1.0, 2.0]
+        assert merged.table.tolist() == empires.table[[1, 2]].tolist()
 
 
 def _unite_all_pairs(empires, threshold, xi):
-    """The merge rule measured over every pair of imperialists."""
-    if len(empires) < 2:
-        return empires
-    imps = np.array([e.imperialist for e in empires])
-    rows, cols = np.triu_indices(len(empires), 1)
-    dists = normalized_distance(imps[rows], imps[cols])
+    """The merge rule measured over every pair of imperialists, on per-empire lists."""
+    state = _state(empires)
+    if len(state) < 2:
+        return state
+    rows, cols = np.triu_indices(len(state), 1)
+    dists = normalized_distance(empires.imperialists[rows], empires.imperialists[cols])
     close = np.flatnonzero(dists < threshold)
-    totals = [empire_total_cost(e, xi) for e in empires]
+    totals = [cost + xi * (math.fsum(costs) / len(costs) if costs else 0.0) for _, cost, _, costs in state]
     pairs = sorted(zip(dists[close].tolist(), rows[close].tolist(), cols[close].tolist()))
-    alive = [True] * len(empires)
+    alive = [True] * len(state)
     for _, i, j in pairs:
         if not (alive[i] and alive[j]):
             continue
         win, lose = (i, j) if (totals[i], i) <= (totals[j], j) else (j, i)
-        empires[win].colonies.append(empires[lose].imperialist)
-        empires[win].colony_costs.append(empires[lose].imperialist_cost)
-        empires[win].colonies.extend(empires[lose].colonies)
-        empires[win].colony_costs.extend(empires[lose].colony_costs)
+        state[win][2] += [state[lose][0]] + state[lose][2]
+        state[win][3] += [state[lose][1]] + state[lose][3]
         alive[lose] = False
-    return [e for k, e in enumerate(empires) if alive[k]]
+    return [s for k, s in enumerate(state) if alive[k]]
 
 
 def _empire_stack(n, count, rng):
@@ -758,26 +780,31 @@ def _empire_stack(n, count, rng):
         cells = rng.permutation(n)[: rng.integers(rng.choice([3, n + 1]))]
         imp[cells] = rng.integers(1, 4, size=cells.size)
         colonies = int(rng.integers(4))
-        empires.append(Empire(
-            imperialist=imp,
-            imperialist_cost=float(rng.integers(1, 6)),
-            colonies=[rng.integers(1, 4, size=n) for _ in range(colonies)],
-            colony_costs=[float(c) for c in rng.integers(1, 9, size=colonies)],
+        empires.append((
+            imp,
+            float(rng.integers(1, 6)),
+            [rng.integers(1, 4, size=n) for _ in range(colonies)],
+            [float(c) for c in rng.integers(1, 9, size=colonies)],
         ))
-    return empires
-
-
-def _state(empires, index):
-    return [(index[id(e)], [c.tolist() for c in e.colonies], e.colony_costs) for e in empires]
+    return _stack(*empires)
 
 
 def _assert_same_merges(empires, threshold):
-    twin = copy.deepcopy(empires)
-    index = {id(e): i for i, e in enumerate(empires)}
-    index.update({id(e): i for i, e in enumerate(twin)})
-    got = unite_similar_empires(empires, threshold, xi=0.1)
-    want = _unite_all_pairs(twin, threshold, xi=0.1)
-    assert _state(got, index) == _state(want, index)
+    want = _unite_all_pairs(empires, threshold, xi=0.1)
+    assert _state(unite_similar_empires(empires, threshold, xi=0.1)) == want
+
+
+def _peak_of_unite(imperialists, threshold):
+    """The tracemalloc peak of one merge pass over colony-less empires."""
+    count, n = imperialists.shape
+    costs = np.random.default_rng(count).integers(1, 50, size=count).astype(float).tolist()
+    empires = Empires(imperialists, costs, np.empty((0, n), dtype=np.int64), [], [0] * count)
+    tracemalloc.start()
+    try:
+        unite_similar_empires(empires, threshold, xi=0.1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestUniteFilter:
@@ -794,8 +821,10 @@ class TestUniteFilter:
     @pytest.mark.parametrize("n", [1, 2, 7, 49])
     @pytest.mark.parametrize("threshold", [0.0, 0.02, 0.1, 0.5, 1.0, 1.5])
     def test_same_merges_in_small_blocks(self, monkeypatch, n, threshold):
-        # at 200 cells, stacks of 3 or more rows of 49 cells and of 6 or more of 7 split
+        # at 200 cells, stacks of 3 or more rows of 49 cells and of 6 or more of 7
+        # split, and pairs are read 2 at a time
         monkeypatch.setattr(dica, "BATCH_CELLS", 200)
+        monkeypatch.setattr(dica, "PAIR_SLICE", 2)
         rng = np.random.default_rng(n * 10 + int(threshold * 100))
         for count in range(2, 15):
             for _ in range(3):
@@ -807,74 +836,76 @@ class TestUniteFilter:
         rng = np.random.default_rng(5)
         for count in range(2, 15):
             empires = _empire_stack(7, count, rng)
-            for e in empires:
-                e.imperialist = e.imperialist + 256 * rng.integers(-2, 2, size=7)
+            empires.imperialists += 256 * rng.integers(-2, 2, size=(count, 7))
             _assert_same_merges(empires, threshold)
         for low, high in ((-1, 255), (0, 256), (-129, 127), (44, 300)):
-            a = Empire(imperialist=np.full(7, low), imperialist_cost=1.0)
-            b = Empire(imperialist=np.full(7, high), imperialist_cost=2.0)
-            assert len(unite_similar_empires([a, b], 0.5, xi=0.1)) == 2
+            empires = _stack((np.full(7, low), 1.0, [], []), (np.full(7, high), 2.0, [], []))
+            assert len(unite_similar_empires(empires, 0.5, xi=0.1)) == 2
 
     def test_peak_memory_is_bounded(self):
         # gathered at once, the 179,700 pairs' cells would take 70 MB a side as int64
-        rng = np.random.default_rng(20)
-        empires = [
-            Empire(imperialist=rng.integers(1, 8, size=49), imperialist_cost=float(c))
-            for c in rng.integers(1, 50, size=600)
-        ]
-        tracemalloc.start()
-        try:
-            unite_similar_empires(empires, 0.5, xi=0.1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16_000_000
+        imperialists = np.random.default_rng(20).integers(1, 8, size=(600, 49))
+        assert _peak_of_unite(imperialists, 0.5) < 16_000_000
+
+    def test_peak_memory_of_many_close_pairs_is_bounded(self):
+        # at 0.9 most of the 179,700 pairs are close; as (distance, i, j) tuples they took 20 MB
+        imperialists = np.random.default_rng(20).integers(1, 8, size=(600, 49))
+        assert _peak_of_unite(imperialists, 0.9) < 6_000_000
 
     def test_wholly_different_pair_merges_above_one(self):
-        a = Empire(imperialist=np.ones(7, dtype=int), imperialist_cost=1.0)
-        b = Empire(imperialist=np.full(7, 2), imperialist_cost=2.0)
-        merged = unite_similar_empires([a, b], 1.5, xi=0.1)
-        assert merged == [a] and a.colony_costs == [2.0]
-        c = Empire(imperialist=np.ones(7, dtype=int), imperialist_cost=1.0)
-        d = Empire(imperialist=np.full(7, 2), imperialist_cost=2.0)
-        assert len(unite_similar_empires([c, d], 1.0, xi=0.1)) == 2
+        def pair():
+            return _stack((np.ones(7, dtype=int), 1.0, [], []), (np.full(7, 2), 2.0, [], []))
+
+        merged = unite_similar_empires(pair(), 1.5, xi=0.1)
+        assert merged.imperialist_costs == [1.0] and merged.colony_costs == [2.0]
+        assert len(unite_similar_empires(pair(), 1.0, xi=0.1)) == 2
 
 
 class TestCompetition:
     def test_weakest_loses_its_worst_colony(self):
-        strong = _empire(1, [2], seed=4)
-        weak = _empire(9, [10, 30, 20], seed=5)
-        marked = weak.colonies[1]
-        empires = imperialistic_competition([strong, weak], 0.1, np.random.default_rng(0))
+        empires = _empires((1, [2]), (9, [10, 30, 20]))
+        marked = empires.colonies[2].copy()
+        empires = imperialistic_competition(empires, 0.1, np.random.default_rng(0))
         assert len(empires) == 2
-        assert len(weak.colonies) == 2
-        assert any(c is marked for c in strong.colonies)
-        assert 30.0 in strong.colony_costs
+        assert empires.sizes == [2, 2]
+        # the worst colony joins the end of the winner's colonies
+        assert empires.colony_costs == [2.0, 30.0, 10.0, 20.0]
+        assert empires.colonies[1].tolist() == marked.tolist()
+
+    def test_a_colony_can_move_to_a_later_empire(self):
+        empires = _empires((9, [10, 30, 20]), (1, [2]))
+        cols = empires.colonies.copy()
+        empires = imperialistic_competition(empires, 0.1, np.random.default_rng(0))
+        assert empires.sizes == [2, 2]
+        assert empires.colony_costs == [10.0, 20.0, 2.0, 30.0]
+        assert empires.colonies.tolist() == cols[[0, 2, 3, 1]].tolist()
+        assert [e.size() for e in empires] == [3, 3]
 
     def test_empty_weakest_empire_dissolves(self):
-        strong = _empire(1, [2], seed=6)
-        weak = _empire(9, [], seed=7)
-        weak_imp = weak.imperialist
-        empires = imperialistic_competition([strong, weak], 0.1, np.random.default_rng(0))
-        assert len(empires) == 1
-        assert empires[0] is strong
-        assert any(c is weak_imp for c in strong.colonies)
+        empires = _empires((1, [2]), (9, []), (3, [4]))
+        empires.table = np.arange(3 * 2 * 4).reshape(3, 2, 4)
+        table, weak_imp = empires.table.copy(), empires.imperialists[1].copy()
+        # with xi 0 the rivals weigh 8 and 6, and seed 1's first draw, 0.51, picks the first
+        empires = imperialistic_competition(empires, 0.0, np.random.default_rng(1))
+        assert len(empires) == 2
+        assert empires.imperialist_costs == [1.0, 3.0]
+        assert empires.colony_costs == [2.0, 9.0, 4.0]
+        assert empires.colonies[1].tolist() == weak_imp.tolist()
+        assert empires.table.tolist() == table[[0, 2]].tolist()
 
     def test_equal_totals_pick_last_as_weakest_and_winner_uniformly(self):
         winners = set()
         for seed in range(30):
-            empires = [_empire(5, [5], seed=s) for s in range(3)]
-            before = [len(e.colonies) for e in empires]
+            empires = _empires((5, [5]), (5, [5]), (5, [5]))
             after = imperialistic_competition(empires, 0.0, np.random.default_rng(seed))
             assert len(after) == 3
-            assert len(empires[2].colonies) == 0  # tie for weakest goes to the last
-            gained = [i for i in range(2) if len(empires[i].colonies) > before[i]]
-            winners.update(gained)
+            assert after.sizes[2] == 0  # tie for weakest goes to the last
+            winners.update(i for i in range(2) if after.sizes[i] > 1)
         assert winners == {0, 1}
 
     def test_single_empire_skips(self):
-        only = _empire(3, [4], seed=8)
-        assert imperialistic_competition([only], 0.1, np.random.default_rng(0)) == [only]
+        only = _empires((3, [4]))
+        assert imperialistic_competition(only, 0.1, np.random.default_rng(0)) is only
 
 
 class TestRunDica:
@@ -996,9 +1027,10 @@ class TestRunDica:
             tabled[carry[0]] += len(rows)
             return real_table(g, rows, width)
 
-        def counting_exchange(empire):
-            swaps.append(real_exchange(empire))
-            return swaps[-1]
+        def counting_exchange(empires):
+            swapped = real_exchange(empires)
+            swaps.append(len(swapped))
+            return swapped
 
         def counting_unite(empires, threshold, xi):
             before = len(empires)

@@ -30,3 +30,12 @@ def test_one_engine_hashes_as_it_does_beside_the_other(hash_grid):
     # the dica-unite line hashes dica alone
     cell = dict(graphs=[("queen_graph", 5)], seeds=[1], kwargs=[{"population_size": 20, "decades": 3}])
     assert hash_grid.grid_digests(engines=("dica",), **cell) == {"dica": hash_grid.grid_digests(**cell)["dica"]}
+
+
+def test_one_cell_inspect_digest_hashes_the_same_twice_and_changes_with_the_seed(hash_grid):
+    # the dica-inspect line: what `_inspect` sees of a run whose empires merge and compete
+    cell = dict(graphs=[("queen_graph", 5)], kwargs=[{"population_size": 20, "decades": 3, "uniting_threshold": 0.9}])
+    first = hash_grid.inspect_digest(seeds=[1], **cell)
+    assert len(first) == 64
+    assert hash_grid.inspect_digest(seeds=[1], **cell) == first
+    assert hash_grid.inspect_digest(seeds=[2], **cell) != first

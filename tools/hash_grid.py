@@ -11,15 +11,19 @@ does the same over PENALTY_GRAPHS, SEEDS and PENALTY_KWARGS, whose penalties
 are not dyadic fractions, so float rounding in the costs shows.  Last it
 hashes dica alone over GRAPHS, SEEDS and UNITE_KWARGS, whose uniting
 thresholds make empires merge (111 merges in its 40 runs), so a change to the
-merge step shows; ga has no merge step.  It prints
+merge step shows; ga has no merge step.  Then it hashes what dica's `_inspect`
+hook sees over GRAPHS, SEEDS and INSPECT_KWARGS, where empires merge and
+compete: at each call, the stage, the decade and, for every empire, its
+size, imperialist row and cost, and colony costs.  It prints
 
     dica <sha256>
     ga <sha256>
     dica-penalty <sha256>
     ga-penalty <sha256>
     dica-unite <sha256>
+    dica-inspect <sha256>
 
-A change that keeps results bit-identical prints the same five lines before
+A change that keeps results bit-identical prints the same six lines before
 and after.  Uses the standard library and colorica only.
 """
 
@@ -40,6 +44,7 @@ PENALTY_KWARGS = ({"penalty": 0.1}, {"penalty": 1 / 3, "k_max": 7},
                   {"penalty": 0.7, "population_size": 60, "decades": 30})
 UNITE_KWARGS = ({"uniting_threshold": 0.85, "population_size": 60, "decades": 30},
                 {"uniting_threshold": 0.9, "population_size": 60, "decades": 30, "k_max": 7})
+INSPECT_KWARGS = UNITE_KWARGS + ({"population_size": 60, "decades": 30},)
 GA_GENERATIONS = 30
 
 
@@ -62,6 +67,24 @@ def grid_digests(graphs, seeds, kwargs, engines=("dica", "ga")) -> dict[str, str
     return {engine: h.hexdigest() for engine, h in hashes.items()}
 
 
+def inspect_digest(graphs, seeds, kwargs) -> str:
+    """The sha256 of every `_inspect` call's view of dica's empires over the grid, as hex."""
+    import colorica
+
+    digest = hashlib.sha256()
+
+    def watch(stage, decade, empires):
+        seen = [(e.size(), e.imperialist.tolist(), e.imperialist_cost, list(e.colony_costs)) for e in empires]
+        digest.update(repr((stage, decade, seen)).encode())
+
+    for generator, param in graphs:
+        g = getattr(colorica, generator)(param)
+        for s in seeds:
+            for kw in kwargs:
+                colorica.run_dica(g, colorica.DicaParams(rng_seed=s, **kw), _inspect=watch)
+    return digest.hexdigest()
+
+
 def main() -> int:
     sys.path.insert(0, str(SRC))
     for engine, digest in grid_digests(GRAPHS, SEEDS, KWARGS).items():
@@ -69,6 +92,7 @@ def main() -> int:
     for engine, digest in grid_digests(PENALTY_GRAPHS, SEEDS, PENALTY_KWARGS).items():
         print(f"{engine}-penalty {digest}")
     print(f"dica-unite {grid_digests(GRAPHS, SEEDS, UNITE_KWARGS, engines=('dica',))['dica']}")
+    print(f"dica-inspect {inspect_digest(GRAPHS, SEEDS, INSPECT_KWARGS)}")
     return 0
 
 
