@@ -94,7 +94,7 @@ class DicaParams(SearchParams):
 
 @dataclass
 class Empire:
-    """One empire as `_inspect` sees it: views into the run's arrays, valid for that call."""
+    """One empire as `_inspect` sees it: slices of the run's arrays and cost lists, valid for that call."""
 
     imperialist: np.ndarray
     imperialist_cost: float
@@ -414,7 +414,7 @@ def unite_similar_empires(empires: Empires, threshold: float, xi: float) -> Empi
         dists.append(block[i, j])
         rows.append((start + i).astype(np.int32))
         cols.append((start + 1 + j).astype(np.int32))
-    # joined one at a time, so that no pair is held twice over
+    # the distances are joined, and their blocks freed, before the rows: 24 bytes a pair at most
     dists = np.concatenate(dists)
     if not dists.size:
         return empires

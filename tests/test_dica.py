@@ -739,6 +739,25 @@ class TestUnite:
         assert merged.imperialist_costs == [1.0]
         assert sorted(merged.colony_costs) == [2.0, 3.0]
 
+    def test_nearest_pairs_merge_first(self):
+        # 1-2 (distance 0) goes before 0-1 and 0-2 (0.25): 1 takes 2, then 0
+        empires = _stack(
+            (np.array([1, 1, 1, 1]), 2.0, [], []), (np.array([2, 1, 1, 1]), 1.0, [], []),
+            (np.array([2, 1, 1, 1]), 3.0, [], []),
+        )
+        merged = unite_similar_empires(empires, 0.5, xi=0.0)
+        assert merged.imperialist_costs == [1.0] and merged.colony_costs == [3.0, 2.0]
+
+    def test_equally_near_pairs_go_by_first_then_second_index(self):
+        # 0-2, 0-3 and 1-2 are all 0.25 apart: 0 takes 2 and 3 before 1-2 comes up
+        empires = _stack(
+            (np.array([1, 1, 1, 1]), 1.0, [], []), (np.array([2, 1, 2, 1]), 2.0, [], []),
+            (np.array([2, 1, 1, 1]), 3.0, [], []), (np.array([1, 2, 1, 1]), 4.0, [], []),
+        )
+        merged = unite_similar_empires(empires, 0.5, xi=0.0)
+        assert merged.imperialist_costs == [1.0, 2.0]
+        assert merged.sizes == [2, 0] and merged.colony_costs == [3.0, 4.0]
+
     def test_the_carried_table_keeps_the_survivors_rows(self):
         imp = np.array([1, 2, 3, 4])
         empires = _stack((imp, 3.0, [], []), (imp + 1, 1.0, [], []), (imp + 0, 2.0, [], []))
