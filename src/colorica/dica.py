@@ -2,16 +2,16 @@
 
 A population of candidate colourings is split into empires, each holding one
 imperialist (its best member) and a share of colonies; a run keeps all
-imperialists in one array and all colonies in another.  Every decade each
-colony is pulled toward its imperialist by two-point segment copy, may be
-perturbed by a two-cell swap, and can displace the imperialist if it gets
-cheaper; all colonies move and are scored as one batch.  Each imperialist
-then takes a few steps of clash-directed swap descent, a memetic addition in
-the manner of Tabucol (Hertz & de Werra 1987) and HEA (Galinier & Hao 1999):
-without it, empires homogenize and the damped revolution rate leaves nothing
-to cross the clash plateaus.  Empires that look alike merge, and the weakest
-empire loses its worst colony to a roulette-picked rival until one empire
-remains or the decade budget runs out.
+imperialists in one array and all colonies in another, each with its rows'
+float64 costs.  Every decade each colony is pulled toward its imperialist by
+two-point segment copy, may be perturbed by a two-cell swap, and can displace
+the imperialist if it gets cheaper; all colonies move and are scored as one
+batch.  Each imperialist then takes a few steps of clash-directed swap descent,
+a memetic addition in the manner of Tabucol (Hertz & de Werra 1987) and HEA
+(Galinier & Hao 1999): without it, empires homogenize and the damped revolution
+rate leaves nothing to cross the clash plateaus.  Empires that look alike
+merge, and the weakest empire loses its worst colony to a roulette-picked rival
+until one empire remains or the decade budget runs out.
 """
 
 from __future__ import annotations
@@ -94,12 +94,14 @@ class DicaParams(SearchParams):
 
 @dataclass
 class Empire:
-    """One empire as `_inspect` sees it: slices of the run's arrays and cost lists, valid for that call."""
+    """One empire as `_inspect` sees it: slices of the run's arrays, costs as Python floats, valid for that call."""
 
     imperialist: np.ndarray
     imperialist_cost: float
     colonies: np.ndarray
-    colony_costs: list[float]
+    _colony_costs: np.ndarray
+    # made as the hook reads it, so a hook that reads only the rows pays no conversion
+    colony_costs = property(lambda self: self._colony_costs.tolist(), doc="The colonies' costs as a list of floats.")
 
     def size(self) -> int:
         return 1 + len(self.colonies)
@@ -109,14 +111,15 @@ class Empire:
 class Empires(Sequence):
     """A run's countries as two arrays.  Row e of `imperialists` heads empire e;
     `colonies` holds every colony, empire by empire, each empire's in the order
-    it gained them, `sizes[e]` for empire e.  The cost lists hold each row's
-    float64 cost; `table`, once set, is the imperialists' `neighbour_table`.
-    Indexing or iterating gives each empire's `Empire` view, built on demand."""
+    it gained them, `sizes[e]` for empire e.  Beside each is a float64 array of
+    its rows' costs, and a row and its cost move by the same index; `table`, once
+    set, is the imperialists' `neighbour_table`.  Indexing or iterating gives each
+    empire's `Empire` view, built on demand."""
 
     imperialists: np.ndarray
-    imperialist_costs: list[float]
+    imperialist_costs: np.ndarray
     colonies: np.ndarray
-    colony_costs: list[float]
+    colony_costs: np.ndarray
     sizes: list[int]
     table: np.ndarray | None = None
 
@@ -129,29 +132,20 @@ class Empires(Sequence):
     def __getitem__(self, e: int) -> Empire:
         e = range(len(self))[e]
         s, t = self.bounds[e], self.bounds[e + 1]
-        return Empire(self.imperialists[e], self.imperialist_costs[e], self.colonies[s:t], self.colony_costs[s:t])
+        cost = float(self.imperialist_costs[e])
+        return Empire(self.imperialists[e], cost, self.colonies[s:t], self.colony_costs[s:t])
 
     def __iter__(self):
         b, cols, costs = self.bounds, self.colonies, self.colony_costs
-        for imp, cost, s, t in zip(self.imperialists, self.imperialist_costs, b, b[1:]):
+        for imp, cost, s, t in zip(self.imperialists, self.imperialist_costs.tolist(), b, b[1:]):
             yield Empire(imp, cost, cols[s:t], costs[s:t])
 
     def totals(self, xi: float) -> list[float]:
         """Each empire's imperialist cost plus xi times its colonies' mean cost (0
         with none); `math.fsum` rounds the sum the same way on every Python."""
-        b, costs = self.bounds, self.colony_costs
+        b, costs = self.bounds, self.colony_costs.tolist()
         means = [math.fsum(costs[s:t]) / (t - s) if t > s else 0.0 for s, t in zip(b, b[1:])]
-        return [cost + xi * mean for cost, mean in zip(self.imperialist_costs, means)]
-
-
-def _largest_remainder(powers: Sequence[float], total: int) -> list[int]:
-    """Apportion `total` items by the given shares: floors, then largest fractions."""
-    quotas = [p * total for p in powers]
-    counts = [math.floor(q) for q in quotas]
-    by_fraction = sorted(range(len(powers)), key=lambda i: (-(quotas[i] - counts[i]), i))
-    for i in by_fraction[: total - sum(counts)]:
-        counts[i] += 1
-    return counts
+        return [cost + xi * mean for cost, mean in zip(self.imperialist_costs.tolist(), means)]
 
 
 def form_empires(
@@ -163,22 +157,22 @@ def form_empires(
     powerful); the actual colonies are dealt out by a random permutation.
     """
     countries = np.asarray(countries)
+    costs = np.asarray(costs, dtype=np.float64)
     if len(countries) != len(costs):
         raise ValueError("countries and costs length mismatch")
     if not 1 <= n_imperialists < len(countries):
         raise ValueError(f"need 1 <= n_imperialists < population, got {n_imperialists} of {len(countries)}")
-    order = rank(costs)
+    order = np.array(rank(costs))
     imp_idx, col_idx = order[:n_imperialists], order[n_imperialists:]
-    max_imp_cost = max(costs[i] for i in imp_idx)
-    shifted = [costs[i] - max_imp_cost for i in imp_idx]
+    shifted = costs[imp_idx] - costs[imp_idx].max()
     total = math.fsum(shifted)
-    powers = [1.0 / n_imperialists] * n_imperialists if total == 0 else [s / total for s in shifted]
-    counts = _largest_remainder(powers, len(col_idx))
-    dealt = [col_idx[p] for p in rng.permutation(len(col_idx)).tolist()]
-    return Empires(
-        countries[imp_idx], [float(costs[i]) for i in imp_idx],
-        countries[dealt], [float(costs[i]) for i in dealt], counts,
-    )
+    powers = np.full(n_imperialists, 1.0 / n_imperialists) if total == 0 else shifted / total
+    # largest remainder: each quota's floor, then one more for the largest fractions, ties to the lower index
+    quotas = powers * len(col_idx)
+    counts = np.floor(quotas).astype(np.int64)
+    counts[rank(counts - quotas)[: len(col_idx) - counts.sum()]] += 1
+    dealt = col_idx[rng.permutation(len(col_idx))]
+    return Empires(countries[imp_idx], costs[imp_idx], countries[dealt], costs[dealt], counts.tolist())
 
 
 def assimilate_at(imperialist, colony, c1: int, c2: int) -> np.ndarray:
@@ -360,17 +354,18 @@ def _descend_wide(g: Graph, row: np.ndarray, steps: int, rng: np.random.Generato
 def exchange_if_better(empires: Empires) -> list[int]:
     """In each empire, swap the imperialist with its first cheapest colony when
     that colony is strictly cheaper.  Returns the positions of the empires that swapped."""
-    imp_costs, costs, b = empires.imperialist_costs, empires.colony_costs, empires.bounds
+    b, imp_costs, costs = empires.bounds, empires.imperialist_costs.tolist(), empires.colony_costs.tolist()
     swapped, rows = [], []
     for e, (s, t) in enumerate(zip(b, b[1:])):
         if s < t and (low := min(costs[s:t])) < imp_costs[e]:
-            c = costs.index(low, s, t)
-            imp_costs[e], costs[c] = low, imp_costs[e]
             swapped.append(e)
-            rows.append(c)
+            rows.append(costs.index(low, s, t))
     if swapped:
         imps, cols = empires.imperialists, empires.colonies
-        imps[swapped], cols[rows] = cols[rows], imps[swapped]
+        imp_cost, col_cost = empires.imperialist_costs, empires.colony_costs
+        imps[swapped], cols[rows], imp_cost[swapped], col_cost[rows] = (
+            cols[rows], imps[swapped], col_cost[rows], imp_cost[swapped]
+        )
     return swapped
 
 
@@ -430,15 +425,15 @@ def unite_similar_empires(empires: Empires, threshold: float, xi: float) -> Empi
             if not (alive[i] and alive[j]):
                 continue
             win, lose = (i, j) if (totals[i], i) <= (totals[j], j) else (j, i)
-            groups[win] += [(len(empires.colony_costs) + lose,), *groups[lose]]
+            groups[win] += [(len(empires.colonies) + lose,), *groups[lose]]
             alive[lose] = False
     kept = [e for e in range(count) if alive[e]]
     owned = [list(chain.from_iterable(groups[e])) for e in kept]
     order = list(chain.from_iterable(owned))
-    costs = empires.colony_costs + empires.imperialist_costs
+    countries = np.concatenate((empires.colonies, empires.imperialists))
+    costs = np.concatenate((empires.colony_costs, empires.imperialist_costs))
     return Empires(
-        empires.imperialists[kept], [empires.imperialist_costs[e] for e in kept],
-        np.concatenate((empires.colonies, empires.imperialists))[order], [costs[i] for i in order],
+        empires.imperialists[kept], empires.imperialist_costs[kept], countries[order], costs[order],
         [len(o) for o in owned], None if empires.table is None else empires.table[kept],
     )
 
@@ -469,13 +464,16 @@ def imperialistic_competition(empires: Empires, xi: float, rng: np.random.Genera
         # after the worst row leaves, the winner's colonies end at `to`
         to = b[winner + 1] - (weakest < winner)
         lo, hi = sorted((worst, to))
-        cols[lo : hi + 1] = np.roll(cols[lo : hi + 1], 1 if to < worst else -1, axis=0)
-        costs.insert(to, costs.pop(worst))
+        # the rows lo..hi shift one place toward `worst`, which takes slot `to`
+        moved = np.arange(lo, hi + 1) + (1 if worst < to else -1)
+        moved[to - lo] = worst
+        cols[lo : hi + 1], costs[lo : hi + 1] = cols[moved], costs[moved]
         empires.sizes[weakest] -= 1
     else:
         empires.colonies = np.insert(cols, b[winner + 1], empires.imperialists[weakest], axis=0)
-        costs.insert(b[winner + 1], empires.imperialist_costs.pop(weakest))
+        empires.colony_costs = np.insert(costs, b[winner + 1], empires.imperialist_costs[weakest])
         empires.imperialists = np.delete(empires.imperialists, weakest, axis=0)
+        empires.imperialist_costs = np.delete(empires.imperialist_costs, weakest)
         empires.table = None if empires.table is None else np.delete(empires.table, weakest, axis=0)
         del empires.sizes[weakest]
         winner -= weakest < winner
@@ -488,13 +486,14 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     """Full search loop; deterministic for a given (graph, params) pair.
 
     The run is one `Empires`: an (E, n) imperialist array and a (C, n) colony
-    array.  Every decade all colonies take one `colony_step` and are offered
-    together to `BestSoFar`, which counts them, keeps the first cheapest and
-    returns their float64 costs, and `exchange_if_better` swaps rows between
-    the two arrays.  Then, before the `post_exchange` inspection, all
-    imperialists take IMPERIALIST_DESCENT_STEPS steps of `descend` together,
-    drawn from the run's own RNG, and are offered for their costs.  `_inspect`
-    gets the `Empires`, whose `Empire` views are built only as it reads them.
+    array, each beside its rows' float64 costs from `BestSoFar.offer`.  Every
+    decade all colonies take one `colony_step` and are offered together to
+    `BestSoFar`, which counts them and keeps the first cheapest, and
+    `exchange_if_better` swaps rows and costs between the arrays.  Then, before
+    the `post_exchange` inspection, all imperialists take
+    IMPERIALIST_DESCENT_STEPS steps of `descend` together, drawn from the run's
+    own RNG, and are offered for their costs.  `_inspect` gets the `Empires`,
+    whose `Empire` views, with Python float costs, are built as it reads them.
 
     When all imperialists' `neighbour_table` over the palette 0..k_max fits
     one of `descend`'s batches, it is carried from decade to decade as
@@ -505,7 +504,7 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     rng = np.random.default_rng(params.rng_seed)
     best = BestSoFar(g, params)
     population = np.array(init_population(g, params, rng))
-    empires = form_empires(population, best.offer(population).tolist(), params.n_imperialists, rng)
+    empires = form_empires(population, best.offer(population), params.n_imperialists, rng)
     revolution_rate = params.revolution_rate
     width = params.palette(g) + 1
     table_cells = max(width * g.n, 2 * g.m)
@@ -513,14 +512,14 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     for decade in range(params.decades):
         owner = np.repeat(np.arange(len(empires)), empires.sizes)
         empires.colonies = colony_step(empires.imperialists, empires.colonies, owner, revolution_rate, rng)
-        empires.colony_costs = best.offer(empires.colonies).tolist()
+        empires.colony_costs = best.offer(empires.colonies)
         swapped = exchange_if_better(empires)
         if empires.table is None and len(empires) * table_cells <= BATCH_CELLS:
             empires.table = neighbour_table(g, empires.imperialists, width)
         elif empires.table is not None and swapped:
             empires.table[swapped] = neighbour_table(g, empires.imperialists[swapped], width)
         empires.imperialists = descend(g, empires.imperialists, IMPERIALIST_DESCENT_STEPS, rng, empires.table)
-        empires.imperialist_costs = best.offer(empires.imperialists).tolist()
+        empires.imperialist_costs = best.offer(empires.imperialists)
         if _inspect is not None:
             _inspect("post_exchange", decade, empires)
         empires = unite_similar_empires(empires, params.uniting_threshold, params.xi)

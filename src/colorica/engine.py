@@ -56,10 +56,14 @@ class SearchParams:
 
     def cost_params(self, g: Graph) -> CostParams:
         """The given penalty, else `CostParams.for_graph`'s; refused if the worst
-        cost on `g` would not be a finite float."""
+        cost on `g`, summed over the population, would not be a finite float:
+        dica sums an empire's colony costs and ga its roulette wheel."""
         params = CostParams.for_graph(g) if self.penalty is None else CostParams(self.penalty)
-        if not math.isfinite(params.penalty * g.m + g.n):
-            raise ValueError(f"penalty {params.penalty} overflows the cost of a {g.m}-edge graph")
+        if not math.isfinite(self.population_size * (params.penalty * g.m + g.n)):
+            raise ValueError(
+                f"penalty {params.penalty} overflows the summed costs of {self.population_size} "
+                f"colourings of a {g.m}-edge graph"
+            )
         return params
 
     def palette(self, g: Graph) -> int:

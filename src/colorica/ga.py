@@ -150,8 +150,7 @@ def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
     children), and one float64 array of its costs.  The initial population and
     each generation's children are offered to `BestSoFar`, which counts them,
     keeps the first cheapest and returns their costs.  `_inspect` gets the
-    generation as a list of rows and its costs as Python floats, as dica's
-    empires hold them.
+    generation as a list of rows and its costs as a list of Python floats.
     """
     rng = np.random.default_rng(params.rng_seed)
     k_max = params.palette(g)

@@ -243,6 +243,19 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: penalty") and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("algo", ["dica", "ga"])
+    def test_penalty_whose_population_sums_overflow_exits_one(self, algo, tmp_path, capsys):
+        # one clashing row costs 1e308 + 1, a finite float, but 40 of them summed
+        # (dica's colony totals, ga's roulette wheel) are not; 40 x (1e306 + 2) are
+        two = tmp_path / "two.col"
+        two.write_text("p edge 2 1\ne 1 2\n")
+        argv = ["solve", str(two), "--algo", algo, "--population-size", "40", "--decades", "5", "--generations", "5"]
+        assert main([*argv, "--penalty", "1e308"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: penalty") and "Traceback" not in err
+        assert main([*argv, "--penalty", "1e306"]) == 0
+
     @pytest.mark.parametrize("algo", ["dica", "ga"])
     def test_k_max_past_the_vertex_bound_exits_one_with_a_message(self, algo, tmp_path, capsys):
         # 10**20 does not fit a C long, which the palette's modulo needs

@@ -46,9 +46,9 @@ def _stack(*empires):
     n = len(empires[0][0])
     return Empires(
         np.array([imp for imp, _, _, _ in empires]),
-        [float(cost) for _, cost, _, _ in empires],
+        np.array([cost for _, cost, _, _ in empires], dtype=np.float64),
         np.array([col for _, _, cols, _ in empires for col in cols], dtype=np.int64).reshape(-1, n),
-        [float(c) for _, _, _, costs in empires for c in costs],
+        np.array([c for _, _, _, costs in empires for c in costs], dtype=np.float64),
         [len(cols) for _, _, cols, _ in empires],
     )
 
@@ -240,6 +240,14 @@ class TestFormEmpires:
         costs = [5, 5] + [8] * 10
         empires = form_empires(countries, costs, 2, rng)
         assert [len(e.colonies) for e in empires] == [5, 5]
+
+    def test_equal_fractions_give_the_extra_colonies_to_the_lower_index(self):
+        # three equal quotas of 4/3 colonies: floors of 1, and the one left over goes to empire 0;
+        # costs 1, 2, 3 give quotas 4/3, 2/3 and 0 of 2: floors 1, 0, 0, then the larger fraction
+        for costs, want in (([5, 5, 5] + [8] * 4, [2, 1, 1]), ([1, 2, 3] + [9] * 2, [1, 1, 0])):
+            countries = [np.array([i]) for i in range(len(costs))]
+            empires = form_empires(countries, costs, 3, np.random.default_rng(37))
+            assert [len(e.colonies) for e in empires] == want
 
     def test_all_power_to_the_cheaper_imperialist(self):
         # costs (4, 6): shifted (-2, 0), so the cost-4 empire takes every colony
@@ -618,15 +626,15 @@ class TestExchange:
         assert empires.imperialists.tolist() == [cols[1].tolist(), imps[1].tolist(), cols[4].tolist()]
         assert empires.colonies[[1, 4]].tolist() == [imps[0].tolist(), imps[2].tolist()]
         assert np.array_equal(np.delete(empires.colonies, [1, 4], axis=0), np.delete(cols, [1, 4], axis=0))
-        assert empires.imperialist_costs == [3, 2, 1]
-        assert empires.colony_costs == [6, 5, 7, 4, 8, 9, 1]
+        assert empires.imperialist_costs.tolist() == [3, 2, 1]
+        assert empires.colony_costs.tolist() == [6, 5, 7, 4, 8, 9, 1]
 
     def test_tie_keeps_incumbent(self):
         empires = _empires((3, [3, 4]))
         imps, cols = empires.imperialists.copy(), empires.colonies.copy()
         assert exchange_if_better(empires) == []
-        assert empires.imperialist_costs == [3]
-        assert empires.colony_costs == [3, 4]
+        assert empires.imperialist_costs.tolist() == [3]
+        assert empires.colony_costs.tolist() == [3, 4]
         assert np.array_equal(empires.imperialists, imps) and np.array_equal(empires.colonies, cols)
 
     def test_no_colonies_no_change(self):
@@ -667,6 +675,22 @@ class TestEmpiresViews:
         assert _state([empires[-1]]) == _state(views[2:]) and _state([empires[0]]) == _state(views[:1])
         with pytest.raises(IndexError):
             empires[3]
+
+    def test_a_run_holds_float64_costs_and_its_views_give_python_floats(self):
+        # the views' costs equal np.float64 all the same, but the repr a hook records would differ
+        stages = []
+
+        def hook(stage, decade, empires):
+            assert empires.imperialist_costs.dtype == empires.colony_costs.dtype == np.float64
+            for views in (list(empires), [empires[e] for e in range(len(empires))]):
+                for e in views:
+                    assert type(e.imperialist_cost) is float
+                    assert type(e.colony_costs) is list and all(type(c) is float for c in e.colony_costs)
+            stages.append(stage)
+
+        run_dica(complete_graph(5), DicaParams(population_size=20, decades=2, k_max=4), _inspect=hook)
+        assert stages == ["post_exchange", "end"] * 2
+        assert [e.colony_costs for e in _empires((5, [6, 3]), (2, []), (8, [1.5]))] == [[6.0, 3.0], [], [1.5]]
 
 
 class TestNormalizedDistance:
@@ -746,7 +770,7 @@ class TestUnite:
             (np.array([2, 1, 1, 1]), 3.0, [], []),
         )
         merged = unite_similar_empires(empires, 0.5, xi=0.0)
-        assert merged.imperialist_costs == [1.0] and merged.colony_costs == [3.0, 2.0]
+        assert merged.imperialist_costs.tolist() == [1.0] and merged.colony_costs.tolist() == [3.0, 2.0]
 
     def test_equally_near_pairs_go_by_first_then_second_index(self):
         # 0-2, 0-3 and 1-2 are all 0.25 apart: 0 takes 2 and 3 before 1-2 comes up
@@ -755,15 +779,15 @@ class TestUnite:
             (np.array([2, 1, 1, 1]), 3.0, [], []), (np.array([1, 2, 1, 1]), 4.0, [], []),
         )
         merged = unite_similar_empires(empires, 0.5, xi=0.0)
-        assert merged.imperialist_costs == [1.0, 2.0]
-        assert merged.sizes == [2, 0] and merged.colony_costs == [3.0, 4.0]
+        assert merged.imperialist_costs.tolist() == [1.0, 2.0]
+        assert merged.sizes == [2, 0] and merged.colony_costs.tolist() == [3.0, 4.0]
 
     def test_the_carried_table_keeps_the_survivors_rows(self):
         imp = np.array([1, 2, 3, 4])
         empires = _stack((imp, 3.0, [], []), (imp + 1, 1.0, [], []), (imp + 0, 2.0, [], []))
         empires.table = np.arange(3 * 2 * 4).reshape(3, 2, 4)
         merged = unite_similar_empires(empires, 0.5, xi=0.1)
-        assert merged.imperialist_costs == [1.0, 2.0]
+        assert merged.imperialist_costs.tolist() == [1.0, 2.0]
         assert merged.table.tolist() == empires.table[[1, 2]].tolist()
 
 
@@ -816,8 +840,8 @@ def _assert_same_merges(empires, threshold):
 def _peak_of_unite(imperialists, threshold):
     """The tracemalloc peak of one merge pass over colony-less empires."""
     count, n = imperialists.shape
-    costs = np.random.default_rng(count).integers(1, 50, size=count).astype(float).tolist()
-    empires = Empires(imperialists, costs, np.empty((0, n), dtype=np.int64), [], [0] * count)
+    costs = np.random.default_rng(count).integers(1, 50, size=count).astype(float)
+    empires = Empires(imperialists, costs, np.empty((0, n), dtype=np.int64), np.empty(0), [0] * count)
     tracemalloc.start()
     try:
         unite_similar_empires(empires, threshold, xi=0.1)
@@ -888,7 +912,7 @@ class TestCompetition:
         assert len(empires) == 2
         assert empires.sizes == [2, 2]
         # the worst colony joins the end of the winner's colonies
-        assert empires.colony_costs == [2.0, 30.0, 10.0, 20.0]
+        assert empires.colony_costs.tolist() == [2.0, 30.0, 10.0, 20.0]
         assert empires.colonies[1].tolist() == marked.tolist()
 
     def test_a_colony_can_move_to_a_later_empire(self):
@@ -896,7 +920,7 @@ class TestCompetition:
         cols = empires.colonies.copy()
         empires = imperialistic_competition(empires, 0.1, np.random.default_rng(0))
         assert empires.sizes == [2, 2]
-        assert empires.colony_costs == [10.0, 20.0, 2.0, 30.0]
+        assert empires.colony_costs.tolist() == [10.0, 20.0, 2.0, 30.0]
         assert empires.colonies.tolist() == cols[[0, 2, 3, 1]].tolist()
         assert [e.size() for e in empires] == [3, 3]
 
@@ -907,8 +931,8 @@ class TestCompetition:
         # with xi 0 the rivals weigh 8 and 6, and seed 1's first draw, 0.51, picks the first
         empires = imperialistic_competition(empires, 0.0, np.random.default_rng(1))
         assert len(empires) == 2
-        assert empires.imperialist_costs == [1.0, 3.0]
-        assert empires.colony_costs == [2.0, 9.0, 4.0]
+        assert empires.imperialist_costs.tolist() == [1.0, 3.0]
+        assert empires.colony_costs.tolist() == [2.0, 9.0, 4.0]
         assert empires.colonies[1].tolist() == weak_imp.tolist()
         assert empires.table.tolist() == table[[0, 2]].tolist()
 

@@ -293,3 +293,10 @@ class TestCostParams:
             SearchParams(penalty=1e308).cost_params(g)
         assert SearchParams(penalty=1e300).cost_params(g).penalty == 1e300
         assert SearchParams().cost_params(g).penalty == 4.0
+
+    def test_penalty_whose_population_sum_overflows_is_refused(self):
+        # one worst row of K2 costs 1e307 + 2, finite; 300 of them do not sum to a finite float
+        g = complete_graph(2)
+        with pytest.raises(ValueError, match="^penalty 1e\\+307 overflows the summed costs of 300 "):
+            SearchParams(penalty=1e307).cost_params(g)
+        assert SearchParams(population_size=17, penalty=1e307).cost_params(g).penalty == 1e307
