@@ -25,7 +25,7 @@ import numpy as np
 
 # `cost` is no longer called here but stays importable as colorica.dica.cost,
 # a name the benchmark's probe and its tests look up
-from .coloring import BATCH_CELLS, cost  # noqa: F401
+from .coloring import BATCH_CELLS, CostParams, cost  # noqa: F401
 from .engine import (
     TERMINATED_DECADES,
     TERMINATED_EARLY_STOP,
@@ -86,6 +86,18 @@ class DicaParams(SearchParams):
         if not 0.0 <= self.xi < math.inf:
             raise ValueError(f"xi must be finite and >= 0, got {self.xi}")
 
+    def cost_params(self, g: Graph) -> CostParams:
+        """`SearchParams.cost_params`, also refused if the empire totals overflow: a
+        total is at most (1 + xi) times the worst cost, and competition's roulette
+        wheel sums fewer than population_size differences of totals."""
+        params = super().cost_params(g)
+        if not math.isfinite(self.population_size * (1 + self.xi) * (params.penalty * g.m + g.n)):
+            raise ValueError(
+                f"xi {self.xi} overflows the empire totals of {self.population_size} "
+                f"colourings of a {g.m}-edge graph at penalty {params.penalty}"
+            )
+        return params
+
     @property
     def n_imperialists(self) -> int:
         """How many of the population `run_dica` makes imperialists."""
@@ -112,16 +124,14 @@ class Empires(Sequence):
     """A run's countries as two arrays.  Row e of `imperialists` heads empire e;
     `colonies` holds every colony, empire by empire, each empire's in the order
     it gained them, `sizes[e]` for empire e.  Beside each is a float64 array of
-    its rows' costs, and a row and its cost move by the same index; `table`, once
-    set, is the imperialists' `neighbour_table`.  Indexing or iterating gives each
-    empire's `Empire` view, built on demand."""
+    its rows' costs, and a row and its cost move by the same index.  Indexing or
+    iterating gives each empire's `Empire` view, built on demand."""
 
     imperialists: np.ndarray
     imperialist_costs: np.ndarray
     colonies: np.ndarray
     colony_costs: np.ndarray
     sizes: list[int]
-    table: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.bounds = list(accumulate(self.sizes, initial=0))  # empire e's colonies: bounds[e]:bounds[e + 1]
@@ -434,7 +444,7 @@ def unite_similar_empires(empires: Empires, threshold: float, xi: float) -> Empi
     costs = np.concatenate((empires.colony_costs, empires.imperialist_costs))
     return Empires(
         empires.imperialists[kept], empires.imperialist_costs[kept], countries[order], costs[order],
-        [len(o) for o in owned], None if empires.table is None else empires.table[kept],
+        [len(o) for o in owned],
     )
 
 
@@ -474,7 +484,6 @@ def imperialistic_competition(empires: Empires, xi: float, rng: np.random.Genera
         empires.colony_costs = np.insert(costs, b[winner + 1], empires.imperialist_costs[weakest])
         empires.imperialists = np.delete(empires.imperialists, weakest, axis=0)
         empires.imperialist_costs = np.delete(empires.imperialist_costs, weakest)
-        empires.table = None if empires.table is None else np.delete(empires.table, weakest, axis=0)
         del empires.sizes[weakest]
         winner -= weakest < winner
     empires.sizes[winner] += 1
@@ -495,11 +504,11 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     own RNG, and are offered for their costs.  `_inspect` gets the `Empires`,
     whose `Empire` views, with Python float costs, are built as it reads them.
 
-    When all imperialists' `neighbour_table` over the palette 0..k_max fits
-    one of `descend`'s batches, it is carried from decade to decade as
-    `Empires.table`: an exchange rebuilds that empire's row, the descent keeps
-    it up to date, and the rows of empires that merge or dissolve are dropped.
-    Every colour stays in 1..k_max; the result is the same with or without it.
+    When all imperialists' `neighbour_table` over the palette 0..k_max fits one
+    of `descend`'s batches, the run keeps it as a local cache: built whole at
+    first and after a merge or a dissolution, its swapped rows rebuilt after an
+    exchange, and kept current by the descent.  Every colour stays in 1..k_max;
+    the result is the same with or without it.
     """
     rng = np.random.default_rng(params.rng_seed)
     best = BestSoFar(g, params)
@@ -508,17 +517,19 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     revolution_rate = params.revolution_rate
     width = params.palette(g) + 1
     table_cells = max(width * g.n, 2 * g.m)
+    table = None
 
     for decade in range(params.decades):
         owner = np.repeat(np.arange(len(empires)), empires.sizes)
         empires.colonies = colony_step(empires.imperialists, empires.colonies, owner, revolution_rate, rng)
         empires.colony_costs = best.offer(empires.colonies)
         swapped = exchange_if_better(empires)
-        if empires.table is None and len(empires) * table_cells <= BATCH_CELLS:
-            empires.table = neighbour_table(g, empires.imperialists, width)
-        elif empires.table is not None and swapped:
-            empires.table[swapped] = neighbour_table(g, empires.imperialists[swapped], width)
-        empires.imperialists = descend(g, empires.imperialists, IMPERIALIST_DESCENT_STEPS, rng, empires.table)
+        # besides exchanges and the descent, only a merge or a dissolution moves imperialists, and both drop rows
+        if (table is None or len(table) != len(empires)) and len(empires) * table_cells <= BATCH_CELLS:
+            table = neighbour_table(g, empires.imperialists, width)
+        elif table is not None and swapped:
+            table[swapped] = neighbour_table(g, empires.imperialists[swapped], width)
+        empires.imperialists = descend(g, empires.imperialists, IMPERIALIST_DESCENT_STEPS, rng, table)
         empires.imperialist_costs = best.offer(empires.imperialists)
         if _inspect is not None:
             _inspect("post_exchange", decade, empires)

@@ -14,9 +14,9 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-# the most vertices parse_dimacs and the generators accept: at this bound the
-# packed adjacency takes 32 MB and a 300-row int64 population 39 MB, and the
-# check comes before any O(n) allocation
+# the most vertices a Graph may have: at this bound the packed adjacency takes
+# 32 MB and a 300-row int64 population 39 MB.  parse_dimacs and the generators
+# check it before any O(n) allocation, and a Graph before its edge loop
 MAX_VERTICES = 1 << 14
 
 # the most edges parse_dimacs and the generators accept, checked before the
@@ -35,7 +35,7 @@ class Graph:
 
     Any iterable of vertex pairs may be passed as `edges`; construction
     normalizes each pair to (min, max), deduplicates, sorts, and rejects
-    self-loops and out-of-range ids.
+    self-loops, out-of-range ids and more than MAX_VERTICES vertices.
     """
 
     n: int
@@ -44,6 +44,8 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"vertex count must be positive, got {self.n}")
+        if self.n > MAX_VERTICES:
+            raise ValueError(f"{self.n} vertices exceed the supported {MAX_VERTICES}")
         canonical = set()
         for u, v in self.edges:
             if u == v:

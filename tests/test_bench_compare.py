@@ -92,7 +92,8 @@ def test_main_prints_a_line_per_workload_and_metric(bench_compare, tmp_path, cap
     extra = dict(PARENT["workloads"], **_record({31: {"op_s.p50": 1.0}}, workload="ga-myciel5")["workloads"])
     parent.write_text(json.dumps({"workloads": extra}))
     change.write_text(json.dumps(CHANGE))
-    assert bench_compare.main([str(parent), str(change)]) == 0
+    # evals_per_s is past its bound, so the exit status is 1
+    assert bench_compare.main([str(parent), str(change)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split()[:4] == ["workload", "metric", "parent", "change"]
     body = [line.split() for line in lines[1:]]
@@ -101,3 +102,18 @@ def test_main_prints_a_line_per_workload_and_metric(bench_compare, tmp_path, cap
     ]
     assert body[0][4:6] == ["-9.5%", "2/3"]
     assert body[1][-1] == "BOUND" and body[0][-1] != "BOUND"
+
+
+def test_main_exits_zero_when_no_row_is_past_its_bound(bench_compare, tmp_path, capsys):
+    parent = tmp_path / "BENCH_a.json"
+    change = tmp_path / "BENCH_b.json"
+    parent.write_text(json.dumps(PARENT))
+    # every metric better than or equal to the parent's
+    change.write_text(json.dumps(_record({
+        31: {"op_s.p50": 0.20, "evals_per_s": 100.0, "peak_rss_mb": 40.0},
+        32: {"op_s.p50": 0.20, "evals_per_s": 120.0, "peak_rss_mb": 39.0},
+        33: {"op_s.p50": 0.21, "evals_per_s": 130.0, "peak_rss_mb": 40.0},
+    })))
+    assert bench_compare.main([str(parent), str(change)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and not any(line.endswith("BOUND") for line in lines)

@@ -256,6 +256,17 @@ class TestSolve:
         assert err.startswith("error: penalty") and "Traceback" not in err
         assert main([*argv, "--penalty", "1e306"]) == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_xi_whose_empire_totals_overflow_exits_one(self, tmp_path, capsys):
+        # at 1e308 every empire total on K4 is inf, so competition's rival weights would be nan
+        k4 = tmp_path / "k4.col"
+        k4.write_text("p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n")
+        argv = ["solve", str(k4), "--population-size", "20", "--decades", "5"]
+        assert main([*argv, "--xi", "1e308"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: xi") and "Traceback" not in err
+        assert main([*argv, "--xi", "1e300"]) == 0
+
     @pytest.mark.parametrize("algo", ["dica", "ga"])
     def test_k_max_past_the_vertex_bound_exits_one_with_a_message(self, algo, tmp_path, capsys):
         # 10**20 does not fit a C long, which the palette's modulo needs

@@ -782,14 +782,6 @@ class TestUnite:
         assert merged.imperialist_costs.tolist() == [1.0, 2.0]
         assert merged.sizes == [2, 0] and merged.colony_costs.tolist() == [3.0, 4.0]
 
-    def test_the_carried_table_keeps_the_survivors_rows(self):
-        imp = np.array([1, 2, 3, 4])
-        empires = _stack((imp, 3.0, [], []), (imp + 1, 1.0, [], []), (imp + 0, 2.0, [], []))
-        empires.table = np.arange(3 * 2 * 4).reshape(3, 2, 4)
-        merged = unite_similar_empires(empires, 0.5, xi=0.1)
-        assert merged.imperialist_costs.tolist() == [1.0, 2.0]
-        assert merged.table.tolist() == empires.table[[1, 2]].tolist()
-
 
 def _unite_all_pairs(empires, threshold, xi):
     """The merge rule measured over every pair of imperialists, on per-empire lists."""
@@ -926,15 +918,13 @@ class TestCompetition:
 
     def test_empty_weakest_empire_dissolves(self):
         empires = _empires((1, [2]), (9, []), (3, [4]))
-        empires.table = np.arange(3 * 2 * 4).reshape(3, 2, 4)
-        table, weak_imp = empires.table.copy(), empires.imperialists[1].copy()
+        weak_imp = empires.imperialists[1].copy()
         # with xi 0 the rivals weigh 8 and 6, and seed 1's first draw, 0.51, picks the first
         empires = imperialistic_competition(empires, 0.0, np.random.default_rng(1))
         assert len(empires) == 2
         assert empires.imperialist_costs.tolist() == [1.0, 3.0]
         assert empires.colony_costs.tolist() == [2.0, 9.0, 4.0]
         assert empires.colonies[1].tolist() == weak_imp.tolist()
-        assert empires.table.tolist() == table[[0, 2]].tolist()
 
     def test_equal_totals_pick_last_as_weakest_and_winner_uniformly(self):
         winners = set()
@@ -1058,10 +1048,11 @@ class TestRunDica:
 
     def test_carried_table_gives_the_same_result(self, monkeypatch):
         tabled = {True: 0, False: 0}
-        swaps, merged = [], []
+        swaps, merged, dissolved = [], [], []
         carry = [True]
-        real_descend, real_table, real_exchange, real_unite = (
-            dica.descend, dica.neighbour_table, dica.exchange_if_better, dica.unite_similar_empires)
+        real_descend, real_table, real_exchange, real_unite, real_compete = (
+            dica.descend, dica.neighbour_table, dica.exchange_if_better, dica.unite_similar_empires,
+            dica.imperialistic_competition)
 
         def maybe_carried_descend(g, cols, steps, rng, table=None):
             return real_descend(g, cols, steps, rng, table if carry[0] else None)
@@ -1081,10 +1072,17 @@ class TestRunDica:
             merged.append(before - len(empires))
             return empires
 
+        def counting_compete(empires, xi, rng):
+            before = len(empires)
+            empires = real_compete(empires, xi, rng)
+            dissolved.append(before - len(empires))
+            return empires
+
         monkeypatch.setattr(dica, "descend", maybe_carried_descend)
         monkeypatch.setattr(dica, "neighbour_table", counting_table)
         monkeypatch.setattr(dica, "exchange_if_better", counting_exchange)
         monkeypatch.setattr(dica, "unite_similar_empires", counting_unite)
+        monkeypatch.setattr(dica, "imperialistic_competition", counting_compete)
         for g in (queen_graph(5), mycielski_graph(5)):
             for seed in (1, 2, 31):
                 for kw in ({}, {"k_max": 4}, {"k_max": 6, "uniting_threshold": 0.5}):
@@ -1097,8 +1095,10 @@ class TestRunDica:
                         carried = run_dica(g, params)
                         carry[0] = False
                         assert run_dica(g, params) == carried
+        # the grid swaps, merges, and dissolves an empire in some decade with no merge
         assert any(swaps) and any(merged)
-        # carried, a row is tabled once and again only after an exchange
+        assert any(d and not m for d, m in zip(dissolved, merged))
+        # carried, rows are tabled again only after an exchange or a change in the empire count
         assert tabled[True] < tabled[False]
 
     def test_too_many_imperialists_rejected(self):
@@ -1142,6 +1142,14 @@ class TestRunDica:
     def test_invalid_params(self, bad):
         with pytest.raises(ValueError):
             DicaParams(**bad)
+
+    def test_xi_whose_summed_totals_overflow_is_refused(self):
+        # K4's worst row costs 4 x 6 + 4 = 28, so one total at xi 1e306 is finite, 20 of them are not
+        g = complete_graph(4)
+        with pytest.raises(ValueError, match="^xi 1e\\+306 overflows the empire totals of 20 "):
+            DicaParams(population_size=20, xi=1e306).cost_params(g)
+        assert DicaParams(population_size=2, xi=1e306).cost_params(g).penalty == 4.0
+        assert DicaParams(population_size=20, xi=1e300).cost_params(g).penalty == 4.0
 
 
 class TestInspectOnlyObserves:

@@ -81,6 +81,20 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(0, ())
 
+    def test_vertex_count_at_the_bound_is_accepted(self):
+        g = Graph(MAX_VERTICES, ((1, MAX_VERTICES),))
+        assert (g.n, g.m) == (MAX_VERTICES, 1)
+
+    def test_vertex_count_above_the_bound_is_refused(self):
+        with pytest.raises(ValueError, match=f"{MAX_VERTICES + 1} vertices exceed the supported {MAX_VERTICES}"):
+            Graph(MAX_VERTICES + 1, ((1, 2),))
+        # a 20,001-vertex star would default its palette past the engines' colour bound
+        with pytest.raises(ValueError, match=str(MAX_VERTICES)):
+            Graph(20_001, tuple((1, v) for v in range(2, 20_002)))
+        # refused when made, before anything asks for its 2 GB packed adjacency
+        with pytest.raises(ValueError, match=str(MAX_VERTICES)):
+            Graph(MAX_VERTICES * 8, ((1, 2),))
+
 
 def _random_graph(n, density, seed):
     rng = np.random.default_rng(seed)

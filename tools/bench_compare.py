@@ -9,9 +9,10 @@ the pairs the change won, its runs paired with the parent's by seed, a tie
 counting for neither side; the parent's interquartile range (q3 - q1) and
 whether the medians differ by more than it; and BOUND where the change is
 worse than the parent by more than the metric's `bound`, read as a fraction
-of the parent's median.  `better` says which direction is better.  Both
-records are as tools/bench_record.py writes them.  Uses the standard library
-only.
+of the parent's median.  `better` says which direction is better.  It exits
+1 when any row is marked BOUND and 0 otherwise, after printing every row.
+Both records are as tools/bench_record.py writes them.  Uses the standard
+library only.
 """
 
 from __future__ import annotations
@@ -86,8 +87,9 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     end_to_end = json.loads(BENCHMARK.read_text())["end_to_end"]
     parent, change = (json.loads(path.read_text()) for path in (args.parent, args.change))
-    print(format_rows(compare(parent, change, end_to_end)))
-    return 0
+    rows = compare(parent, change, end_to_end)
+    print(format_rows(rows))
+    return int(any(r["over_bound"] for r in rows))
 
 
 if __name__ == "__main__":
