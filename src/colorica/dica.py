@@ -49,8 +49,6 @@ from .graphs import Graph
 # 65% a gate of 10 successes in 20 runs fails for about one seed window in 19.
 IMPERIALIST_DESCENT_STEPS = 4
 
-PAIR_SLICE = 4096  # close merge pairs are read into Python this many at a time
-
 # inspection hook: (stage, decade, empires) -> None
 InspectFn = Callable[[str, int, "Empires"], None]
 
@@ -395,13 +393,15 @@ def unite_similar_empires(empires: Empires, threshold: float, xi: float) -> Empi
     """Merge empire pairs whose imperialists differ on less than `threshold` of cells.
 
     The lower-total-cost empire absorbs the other: the loser's imperialist,
-    then its colonies, join the end of the winner's colonies.  Pairs go
-    nearest first, then by index; totals are from before any merge.  Every
-    pair is measured, a block of rows against all later rows at a time, each
-    block comparing about BATCH_CELLS cells of imperialists narrowed to the
-    smallest integer type that holds their colours.  The close pairs are kept
-    as a float64 distance and two int32 row arrays and walked in slices of
-    PAIR_SLICE.  Returns new Empires when any pair is close, else `empires`.
+    then its colonies, join the end of the winner's colonies.  Pairs go in
+    index order: imperialist i, while unabsorbed, meets each later unabsorbed
+    imperialist closer than `threshold` in turn; totals are from before any
+    merge.  Every pair is measured, a block of rows against all later rows at
+    a time, each block comparing about BATCH_CELLS cells of imperialists
+    narrowed to the smallest integer type that holds their colours, and a
+    block's close pairs merge before the next block is measured, so no more
+    than one block's are held.  Returns new Empires when any pair is close,
+    else `empires`.
     """
     count = len(empires)
     if count < 2:
@@ -409,34 +409,28 @@ def unite_similar_empires(empires: Empires, threshold: float, xi: float) -> Empi
     imps = empires.imperialists
     imps = imps.astype(np.promote_types(np.min_scalar_type(imps.min()), np.min_scalar_type(imps.max())))
     per_block = max(1, BATCH_CELLS // imps.size)
-    dists, rows, cols = [], [], []
-    for start in range(0, count - 1, per_block):
-        block = normalized_distance(imps[start : start + per_block, None], imps[None, start + 1 :])
-        i, j = np.nonzero(block < threshold)
-        # block row i is imperialist start + i and column j is start + 1 + j, so j >= i keeps i < j
-        upper = j >= i
-        i, j = i[upper], j[upper]
-        dists.append(block[i, j])
-        rows.append((start + i).astype(np.int32))
-        cols.append((start + 1 + j).astype(np.int32))
-    # the distances are joined, and their blocks freed, before the rows: 24 bytes a pair at most
-    dists = np.concatenate(dists)
-    if not dists.size:
-        return empires
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    by_distance = np.lexsort((cols, rows, dists))
-    totals = empires.totals(xi)
     alive = [True] * count
-    # each empire's colonies as runs of rows of the colonies, then the imperialists
-    groups = [[range(s, t)] for s, t in zip(empires.bounds, empires.bounds[1:])]
-    for start in range(0, by_distance.size, PAIR_SLICE):
-        at = by_distance[start : start + PAIR_SLICE]
-        for i, j in zip(rows[at].tolist(), cols[at].tolist()):
-            if not (alive[i] and alive[j]):
-                continue
-            win, lose = (i, j) if (totals[i], i) <= (totals[j], j) else (j, i)
-            groups[win] += [(len(empires.colonies) + lose,), *groups[lose]]
-            alive[lose] = False
+    totals = None  # taken at the first merge, so from before any merge
+    for start in range(0, count - 1, per_block):
+        close = normalized_distance(imps[start : start + per_block, None], imps[None, start + 1 :]) < threshold
+        # block row r is imperialist start + r and column c is start + 1 + c, so c >= r keeps the later ones
+        close &= np.arange(close.shape[1]) >= np.arange(len(close))[:, None]
+        for r in np.flatnonzero(close.any(axis=1)).tolist():
+            i = start + r
+            for j in (start + 1 + np.flatnonzero(close[r])).tolist():
+                if not alive[i]:
+                    break
+                if not alive[j]:
+                    continue
+                if totals is None:
+                    totals = empires.totals(xi)
+                    # each empire's colonies as runs of rows of the colonies, then the imperialists
+                    groups = [[range(s, t)] for s, t in zip(empires.bounds, empires.bounds[1:])]
+                win, lose = (i, j) if (totals[i], i) <= (totals[j], j) else (j, i)
+                groups[win] += [(len(empires.colonies) + lose,), *groups[lose]]
+                alive[lose] = False
+    if totals is None:
+        return empires
     kept = [e for e in range(count) if alive[e]]
     owned = [list(chain.from_iterable(groups[e])) for e in kept]
     order = list(chain.from_iterable(owned))

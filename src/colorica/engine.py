@@ -8,7 +8,8 @@ contract: an engine only makes batches of rows and offers them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,7 +31,8 @@ MAX_POPULATION_CELLS = 1 << 23
 
 @dataclass(frozen=True)
 class SearchParams:
-    """The parameters both engines take, checked when made; each engine subclasses it."""
+    """The parameters both engines take, checked when made; each engine subclasses it.
+    Every int field, here or in a subclass, refuses a value that is not an integer."""
 
     population_size: int = 300
     k_max: int | None = None
@@ -40,6 +42,11 @@ class SearchParams:
     rng_seed: int = 1
 
     def __post_init__(self) -> None:
+        # every int field of this class and its subclasses; a float would fail inside the run
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("int", "int | None") and not isinstance(value, (numbers.Integral, type(None))):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.population_size < 1:
             raise ValueError(f"population_size must be >= 1, got {self.population_size}")
         # no colouring of a graph within the vertex bound needs more colours

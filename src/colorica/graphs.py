@@ -7,6 +7,7 @@ deduplicated, sorted tuple of (u, v) pairs with u < v.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,24 +36,36 @@ class Graph:
 
     Any iterable of vertex pairs may be passed as `edges`; construction
     normalizes each pair to (min, max), deduplicates, sorts, and rejects
-    self-loops, out-of-range ids and more than MAX_VERTICES vertices.
+    self-loops, out-of-range ids, more than MAX_VERTICES vertices and a
+    vertex count or id that is not an integer; both are stored as Python ints.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"vertex count must be positive, got {self.n}")
-        if self.n > MAX_VERTICES:
-            raise ValueError(f"{self.n} vertices exceed the supported {MAX_VERTICES}")
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise ValueError(f"vertex count must be an integer, got {self.n!r}") from None
+        if n < 1:
+            raise ValueError(f"vertex count must be positive, got {n}")
+        if n > MAX_VERTICES:
+            raise ValueError(f"{n} vertices exceed the supported {MAX_VERTICES}")
         canonical = set()
         for u, v in self.edges:
+            # stored as Python ints: a float id would be truncated by edge_index_arrays
+            # and written by write_dimacs as a line parse_dimacs refuses
+            try:
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise ValueError(f"non-integer vertex id in edge ({u!r}, {v!r})") from None
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
+            if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"vertex id out of range in edge ({u}, {v})")
             canonical.add((u, v) if u < v else (v, u))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(canonical)))
 
     @property

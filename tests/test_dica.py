@@ -763,14 +763,14 @@ class TestUnite:
         assert merged.imperialist_costs == [1.0]
         assert sorted(merged.colony_costs) == [2.0, 3.0]
 
-    def test_nearest_pairs_merge_first(self):
-        # 1-2 (distance 0) goes before 0-1 and 0-2 (0.25): 1 takes 2, then 0
+    def test_pairs_go_in_index_order_not_nearest_first(self):
+        # 0-1 (distance 0.25) goes before 1-2 (0): 1 takes 0, then 2
         empires = _stack(
             (np.array([1, 1, 1, 1]), 2.0, [], []), (np.array([2, 1, 1, 1]), 1.0, [], []),
             (np.array([2, 1, 1, 1]), 3.0, [], []),
         )
         merged = unite_similar_empires(empires, 0.5, xi=0.0)
-        assert merged.imperialist_costs.tolist() == [1.0] and merged.colony_costs.tolist() == [3.0, 2.0]
+        assert merged.imperialist_costs.tolist() == [1.0] and merged.colony_costs.tolist() == [2.0, 3.0]
 
     def test_equally_near_pairs_go_by_first_then_second_index(self):
         # 0-2, 0-3 and 1-2 are all 0.25 apart: 0 takes 2 and 3 before 1-2 comes up
@@ -783,8 +783,9 @@ class TestUnite:
         assert merged.sizes == [2, 0] and merged.colony_costs.tolist() == [3.0, 4.0]
 
 
-def _unite_all_pairs(empires, threshold, xi):
-    """The merge rule measured over every pair of imperialists, on per-empire lists."""
+def _unite_all_pairs(empires, threshold, xi, nearest_first=False):
+    """The merge rule measured over every pair of imperialists, on per-empire
+    lists: close pairs go by (i, j), or by (distance, i, j) given `nearest_first`."""
     state = _state(empires)
     if len(state) < 2:
         return state
@@ -792,7 +793,8 @@ def _unite_all_pairs(empires, threshold, xi):
     dists = normalized_distance(empires.imperialists[rows], empires.imperialists[cols])
     close = np.flatnonzero(dists < threshold)
     totals = [cost + xi * (math.fsum(costs) / len(costs) if costs else 0.0) for _, cost, _, costs in state]
-    pairs = sorted(zip(dists[close].tolist(), rows[close].tolist(), cols[close].tolist()))
+    pairs = zip(dists[close].tolist(), rows[close].tolist(), cols[close].tolist())
+    pairs = sorted(pairs) if nearest_first else sorted(pairs, key=lambda p: p[1:])
     alive = [True] * len(state)
     for _, i, j in pairs:
         if not (alive[i] and alive[j]):
@@ -856,14 +858,26 @@ class TestUniteFilter:
     @pytest.mark.parametrize("n", [1, 2, 7, 49])
     @pytest.mark.parametrize("threshold", [0.0, 0.02, 0.1, 0.5, 1.0, 1.5])
     def test_same_merges_in_small_blocks(self, monkeypatch, n, threshold):
-        # at 200 cells, stacks of 3 or more rows of 49 cells and of 6 or more of 7
-        # split, and pairs are read 2 at a time
+        # at 200 cells, stacks of 3 or more rows of 49 cells and of 6 or more of 7 split
         monkeypatch.setattr(dica, "BATCH_CELLS", 200)
-        monkeypatch.setattr(dica, "PAIR_SLICE", 2)
         rng = np.random.default_rng(n * 10 + int(threshold * 100))
         for count in range(2, 15):
             for _ in range(3):
                 _assert_same_merges(_empire_stack(n, count, rng), threshold)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 49])
+    @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+    def test_same_merges_as_nearest_first_when_only_equal_rows_are_close(self, n, share):
+        # at threshold <= 1/n only identical imperialists are close: every close pair
+        # is at distance 0, so nearest first walks the pairs in index order too.  The
+        # default 0.02 on up to 50 vertices is such a case
+        threshold = share / n
+        rng = np.random.default_rng(n * 10 + int(share * 10))
+        for count in range(2, 15):
+            for _ in range(3):
+                empires = _empire_stack(n, count, rng)
+                want = _unite_all_pairs(empires, threshold, xi=0.1, nearest_first=True)
+                assert _state(unite_similar_empires(empires, threshold, xi=0.1)) == want
 
     @pytest.mark.parametrize("threshold", [0.02, 0.5, 1.0])
     def test_negative_and_wide_colours_stay_apart(self, threshold):
@@ -885,6 +899,12 @@ class TestUniteFilter:
     def test_peak_memory_of_many_close_pairs_is_bounded(self):
         # at 0.9 most of the 179,700 pairs are close; as (distance, i, j) tuples they took 20 MB
         imperialists = np.random.default_rng(20).integers(1, 8, size=(600, 49))
+        assert _peak_of_unite(imperialists, 0.9) < 6_000_000
+
+    def test_peak_memory_holds_one_block_of_close_pairs(self):
+        # at 0.9 most of the 404,550 pairs are close; kept all at once as a float64
+        # distance and two int32 rows, they peaked at 9.3 MB
+        imperialists = np.random.default_rng(21).integers(1, 8, size=(900, 49))
         assert _peak_of_unite(imperialists, 0.9) < 6_000_000
 
     def test_wholly_different_pair_merges_above_one(self):

@@ -2,6 +2,8 @@
 wheel, the segment copy, the params checks, the penalty bound, the seed, the
 population bound and the colours the engines offer."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,28 @@ class TestParamsChecked:
         with pytest.raises(ValueError):
             cls(**bad)
         assert not hasattr(cls(), "validate")
+
+    @pytest.mark.parametrize(
+        "cls, field, value",
+        [
+            (DicaParams, "population_size", 10.5),
+            (DicaParams, "decades", 1.5),
+            (DicaParams, "k_max", 2.5),
+            (DicaParams, "rng_seed", 1.5),
+            (DicaParams, "known_chromatic", 3.0),
+            (GaParams, "generations", "10"),
+            (GaParams, "elitism_count", 1.5),
+            (SearchParams, "rng_seed", np.float64(2)),
+        ],
+    )
+    def test_non_integer_refused_by_name(self, cls, field, value):
+        # each used to fail inside the run with a TypeError that named no field
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            cls(**{field: value})
+
+    @pytest.mark.parametrize("cls", [SearchParams, DicaParams, GaParams])
+    def test_integer_like_values_and_bools_are_accepted(self, cls):
+        assert cls(population_size=np.int64(20), rng_seed=True, k_max=np.int32(3)).rng_seed is True
 
     @pytest.mark.parametrize("cls", [SearchParams, DicaParams, GaParams])
     def test_early_stop_needs_known_chromatic(self, cls):

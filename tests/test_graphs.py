@@ -81,6 +81,23 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(0, ())
 
+    @pytest.mark.parametrize("edge", [(1, 2.5), (2.0, 3), ("1", 2), (1, np.float64(2))])
+    def test_rejects_non_integer_vertex_id(self, edge):
+        # 2.5 would be coloured as vertex 2 and written as a line parse_dimacs refuses
+        with pytest.raises(ValueError, match="non-integer vertex id in edge"):
+            Graph(3, (edge, (2, 3)))
+
+    @pytest.mark.parametrize("n", [3.5, 3.0, "3", None])
+    def test_rejects_non_integer_vertex_count(self, n):
+        with pytest.raises(ValueError, match="vertex count must be an integer"):
+            Graph(n, ())
+
+    def test_integer_like_ids_and_count_are_stored_as_python_ints(self):
+        g = Graph(np.int64(3), ((np.int64(2), np.int32(1)), (True, 3)))
+        assert g.edges == ((1, 2), (1, 3)) and g.n == 3
+        assert type(g.n) is int and all(type(x) is int for edge in g.edges for x in edge)
+        assert parse_dimacs(write_dimacs(g)) == g
+
     def test_vertex_count_at_the_bound_is_accepted(self):
         g = Graph(MAX_VERTICES, ((1, MAX_VERTICES),))
         assert (g.n, g.m) == (MAX_VERTICES, 1)

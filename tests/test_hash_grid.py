@@ -39,3 +39,11 @@ def test_one_cell_inspect_digest_hashes_the_same_twice_and_changes_with_the_seed
     assert len(first) == 64
     assert hash_grid.inspect_digest(seeds=[1], **cell) == first
     assert hash_grid.inspect_digest(seeds=[2], **cell) != first
+
+
+def test_one_cell_gate_digest_runs_dica_at_the_acceptance_settings(hash_grid):
+    # the dica-gate line: k_max and known_chromatic at the graph's chromatic number, early stop
+    first = hash_grid.gate_digest(graphs=[("queen_graph", 5)], seeds=[1])
+    settings = {"k_max": 5, "known_chromatic": 5, "early_stop_at_chromatic": True}
+    assert first == hash_grid.grid_digests([("queen_graph", 5)], [1], [settings], engines=("dica",))["dica"]
+    assert hash_grid.gate_digest(graphs=[("queen_graph", 5)], seeds=[2]) != first
