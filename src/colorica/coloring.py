@@ -19,18 +19,14 @@ from .graphs import MAX_VERTICES, Graph
 
 # the memory budget of a batched array pass, in array cells: batch_counts caps
 # its rows per chunk so that the gathered (edge, row) colour pairs, the
-# (vertex, row) uint64 colour words and the (row, colour) presence mask each
-# stay near it, and dica.descend does the same for its neighbour-colour table,
-# whose one row alone is palette width x vertex count cells.
-# The words are 8 bytes a cell, up to 16 MB a chunk at the 16384-vertex bound;
-# a ga run there peaks at the same RSS as with a 1-byte mask in their place,
-# since its two population arrays set the peak, while words taken in smaller
-# blocks raised that peak
+# (vertex, row) colour words and the (row, colour) presence mask each stay near
+# it, and dica.descend does the same for its neighbour-colour table, whose one
+# row alone is palette width x vertex count cells.
+# A word is as wide as the largest colour needs, 1 to 8 bytes a cell, so up to
+# 16 MB a chunk at the 16384-vertex bound; a ga run there peaks at the same RSS
+# as with a 1-byte mask in their place, since its two population arrays set the
+# peak, while words taken in smaller blocks raised that peak
 BATCH_CELLS = 1 << 21
-
-# batch_counts sums an (edge, row) clash mask in uint16 over blocks of at most
-# this many edges, so that no count wraps and no wider copy of the mask is made
-CLASH_BLOCK = (1 << 16) - 1
 
 
 @dataclass(frozen=True)
@@ -87,8 +83,8 @@ def cost_array(conflicts: np.ndarray, used: np.ndarray, params: CostParams) -> n
 
 
 def _unpacked_popcount(words: np.ndarray) -> np.ndarray:
-    """The set bits of each uint64 word, summed over its unpacked bytes."""
-    return np.unpackbits(words.view(np.uint8)).reshape(words.size, 64).sum(axis=1)
+    """The set bits of each unsigned word, summed over its unpacked bytes."""
+    return np.unpackbits(words.view(np.uint8)).reshape(words.size, 8 * words.itemsize).sum(axis=1)
 
 
 # numpy 2.0 counts bits in one call; numpy 1.x sums the unpacked bits
@@ -102,10 +98,11 @@ def batch_counts(g: Graph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Rows are transposed to (n, count) in the smallest unsigned dtype that holds
     the largest colour, so each edge compares two contiguous rows, and are taken
     in chunks of about BATCH_CELLS cells, in row order.  A chunk's clashes are
-    summed in uint16 over blocks of CLASH_BLOCK edges.  When every colour is
-    below 64, a row's colours are the set bits of one uint64 word, the OR of
-    1 << colour over its cells; otherwise they are counted from one flat
-    (row, colour) presence mask.  Colours outside 0..MAX_VERTICES are refused:
+    summed in one reduce over its (edge, row) clash mask, in the smallest
+    unsigned dtype that holds the edge count, so no count wraps.  When every
+    colour is below 64, a row's colours are the set bits of one word, the OR of
+    1 << colour over its cells, in the smallest unsigned dtype that holds bit
+    `top`; otherwise they are counted from one flat (row, colour) presence mask.  Colours outside 0..MAX_VERTICES are refused:
     engines draw them from 1..k_max, and k_max <= MAX_VERTICES bounds that mask.
     """
     arr = np.asarray(rows)
@@ -121,16 +118,18 @@ def batch_counts(g: Graph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"colours must be in 0..{MAX_VERTICES}, got {int(arr.min())}..{top}")
     dtype = np.min_scalar_type(top)
     eu, ev = g.edge_index_arrays
+    clash_dtype = np.min_scalar_type(eu.size)
+    word = np.min_scalar_type(1 << top) if top < 64 else None
     per_chunk = max(1, BATCH_CELLS // max(eu.size, g.n, top + 1))
     for start in range(0, count, per_chunk):
         t = arr[start : start + per_chunk].T.astype(dtype, order="C")
         width = t.shape[1]
         out = slice(start, start + width)
-        same = t[eu] == t[ev]
-        for lo in range(0, eu.size, CLASH_BLOCK):
-            conflicts[out] += np.add.reduce(same[lo : lo + CLASH_BLOCK], axis=0, dtype=np.uint16)
-        if top < 64:
-            words = np.left_shift(np.uint64(1), t, dtype=np.uint64)
+        # numpy casts the uint8 mask to clash_dtype in small buffers as it sums
+        same = np.take(t, eu, axis=0) == np.take(t, ev, axis=0)
+        conflicts[out] = np.add.reduce(same.view(np.uint8), axis=0, dtype=clash_dtype)
+        if word is not None:
+            words = np.left_shift(word.type(1), t, dtype=word)
             used[out] = _popcount(np.bitwise_or.reduce(words, axis=0))
         else:
             # column j's colour c marks cell j * (top + 1) + c of one flat presence mask

@@ -32,7 +32,8 @@ MAX_POPULATION_CELLS = 1 << 23
 @dataclass(frozen=True)
 class SearchParams:
     """The parameters both engines take, checked when made; each engine subclasses it.
-    Every int field, here or in a subclass, refuses a value that is not an integer."""
+    Every int, float and bool field, here or in a subclass, refuses a value that
+    is not an integer, a real number or a bool."""
 
     population_size: int = 300
     k_max: int | None = None
@@ -42,11 +43,20 @@ class SearchParams:
     rng_seed: int = 1
 
     def __post_init__(self) -> None:
-        # every int field of this class and its subclasses; a float would fail inside the run
+        # every typed field of this class and its subclasses: a float in an int field
+        # would fail inside the run, a string in a float field in a comparison that
+        # names no field, and any object in a bool field would be read by its truth
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type in ("int", "int | None") and not isinstance(value, (numbers.Integral, type(None))):
+            kind, _, optional = f.type.partition(" | ")
+            if value is None and optional:
+                continue
+            if kind == "int" and not isinstance(value, numbers.Integral):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if kind == "float" and not isinstance(value, numbers.Real):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
+            if kind == "bool" and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be a bool, got {value!r}")
         if self.population_size < 1:
             raise ValueError(f"population_size must be >= 1, got {self.population_size}")
         # no colouring of a graph within the vertex bound needs more colours

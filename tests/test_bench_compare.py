@@ -85,6 +85,30 @@ def test_flags_only_what_is_worse_than_its_bound(bench_compare):
     assert row["over_bound"] is True
 
 
+def test_gain_needs_nine_in_ten_pairs_won_and_medians_apart_by_more_than_the_iqr(bench_compare):
+    seeds = range(31, 41)
+    parent = _record({s: {"op_s.p50": 0.20 + 0.001 * (s - 31)} for s in seeds})  # IQR 0.009, median 0.205
+    # every pair won by 0.01: the medians are 0.01 apart, past the IQR
+    (row,) = bench_compare.compare(parent, _record({s: {"op_s.p50": 0.19 + 0.001 * (s - 31)} for s in seeds}), END_TO_END)
+    assert (row["won"], row["pairs"], row["beyond_iqr"], row["gain"]) == (10, 10, True, True)
+    assert bench_compare.format_rows([row]).splitlines()[1].split()[-1] == "GAIN"
+    # 9 of 10 won is enough, 8 of 10 is not
+    nine = {s: {"op_s.p50": 0.19 + 0.001 * (s - 31)} for s in seeds}
+    nine[40] = {"op_s.p50": 0.30}
+    (row,) = bench_compare.compare(parent, _record(nine), END_TO_END)
+    assert (row["won"], row["gain"]) == (9, True)
+    nine[39] = {"op_s.p50": 0.30}
+    (row,) = bench_compare.compare(parent, _record(nine), END_TO_END)
+    assert (row["won"], row["gain"]) == (8, False)
+    # every pair won by 0.005: the medians are not apart by more than the IQR
+    (row,) = bench_compare.compare(parent, _record({s: {"op_s.p50": 0.195 + 0.001 * (s - 31)} for s in seeds}), END_TO_END)
+    assert (row["won"], row["beyond_iqr"], row["gain"]) == (10, False, False)
+    # a worse change is never a gain, however far apart the medians are
+    (row,) = bench_compare.compare(parent, _record({s: {"op_s.p50": 0.30} for s in seeds}), END_TO_END)
+    assert (row["gain"], row["over_bound"]) == (False, True)
+    assert not any(r["gain"] for r in bench_compare.compare(PARENT, CHANGE, END_TO_END))
+
+
 def test_main_prints_a_line_per_workload_and_metric(bench_compare, tmp_path, capsys):
     parent = tmp_path / "BENCH_a.json"
     change = tmp_path / "BENCH_b.json"

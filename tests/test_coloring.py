@@ -1,5 +1,7 @@
 """Penalised cost function checked against a from-scratch reimplementation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,13 @@ class TestBatchCosts:
             g, np.array([[1, 2, 3, 4], [1, 1, 2, 2], [3, 3, 3, 3]]), CostParams(4.0)
         )
         assert costs == [4, 10.0, 25.0] and conflicts == [0, 2, 6] and used == [4, 2, 1]
+        # edge counts either side of the largest a uint8 and a uint16 clash sum hold
+        wide = complete_graph(363)
+        for m in (255, 256, 65_535, 65_536):
+            g = Graph(363, wide.edges[:m])
+            rows = np.array([np.ones(363, dtype=np.int64), np.arange(1, 364), np.arange(363) % 2 + 1])
+            _, conflicts, _ = _assert_rows_match(g, rows, CostParams(363.0))
+            assert conflicts[:2] == [m, 0]
 
     def test_edgeless_graph(self):
         g = Graph(5, ())
@@ -233,6 +242,17 @@ class TestBatchCosts:
         assert [type(c) for c in costs] == [type(penalty), int, type(penalty)]
         assert all(type(c) is int for c in conflicts + used)
         assert conflicts == [count_conflicts(g, row) for row in rows]
+        # the counts are summed in uint32 straight from the clash mask: the peak
+        # holds the two gathered (edge, row) uint16 colour arrays and the mask,
+        # and less than a quarter of a uint32 copy of the mask besides
+        cells = g.m * len(rows)
+        tracemalloc.start()
+        try:
+            batch_counts(g, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 * cells + cells + 4 * cells // 4
 
     def test_no_rows_and_wrong_width(self):
         g = complete_graph(3)
@@ -262,11 +282,12 @@ class TestBatchCounts:
         if request.param == "swar":
             monkeypatch.setattr(coloring, "_popcount", coloring._unpacked_popcount)
 
-    @pytest.mark.parametrize("palette", [1, 63, 64, 65])
+    @pytest.mark.parametrize("palette", [1, 7, 8, 15, 16, 31, 32, 63, 64, 65])
     @pytest.mark.parametrize("lowest", [0, 1])
     def test_palettes_either_side_of_one_word(self, palette, lowest, popcount):
-        # colours lowest..lowest + palette - 1: a largest colour of 63 is the
-        # last a uint64 word marks, 64 and above take the presence mask
+        # colours lowest..lowest + palette - 1: largest colours of 7, 15, 31 and
+        # 63 are the last a uint8, uint16, uint32 and uint64 word marks, 64 and
+        # above take the presence mask
         rng = np.random.default_rng(palette + 100 * lowest)
         g = _random_graph(rng, 70, p=0.15)
         rows = rng.integers(lowest, lowest + palette, size=(40, 70))
@@ -304,14 +325,18 @@ class TestBatchCounts:
         assert all(np.array_equal(a, b) for a, b in zip(split, whole))
 
     def test_swar_popcount(self):
-        words = np.array(
-            [0, 1, 2**63, 2**64 - 1, 0x5555555555555555, 0xF0F0F0F0F0F0F0F0, 2**62 + 3],
-            dtype=np.uint64,
-        )
-        words = np.concatenate((words, np.random.default_rng(3).integers(0, 2**64, 200, dtype=np.uint64)))
-        want = [bin(w).count("1") for w in words.tolist()]
-        assert coloring._unpacked_popcount(words).tolist() == want
-        assert np.asarray(coloring._popcount(words)).tolist() == want
+        # every word width batch_counts marks colours in
+        for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+            bits = 8 * np.dtype(dtype).itemsize
+            top = 2**bits - 1
+            words = np.array(
+                [0, 1, 2 ** (bits - 1), top, 0x5555555555555555 & top, 0xF0F0F0F0F0F0F0F0 & top, 2 ** (bits - 2) + 3],
+                dtype=dtype,
+            )
+            words = np.concatenate((words, np.random.default_rng(3).integers(0, top, 200, dtype=dtype, endpoint=True)))
+            want = [bin(w).count("1") for w in words.tolist()]
+            assert coloring._unpacked_popcount(words).tolist() == want
+            assert np.asarray(coloring._popcount(words)).tolist() == want
 
     def test_no_rows_and_wrong_width(self):
         g = complete_graph(3)

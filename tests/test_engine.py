@@ -299,6 +299,33 @@ class TestParamsChecked:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
             cls(**{field: value})
 
+    @pytest.mark.parametrize(
+        "cls, field",
+        [
+            (DicaParams, "imperialist_fraction"),
+            (DicaParams, "revolution_rate"),
+            (DicaParams, "uniting_threshold"),
+            (DicaParams, "damp_ratio"),
+            (DicaParams, "xi"),
+            (GaParams, "mutation_rate"),
+            (GaParams, "selection_probability"),
+        ],
+    )
+    def test_non_real_refused_by_name(self, cls, field):
+        # each used to raise TypeError: '<=' not supported ..., naming no field
+        for value in ("0.1", None):
+            with pytest.raises(ValueError, match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
+                cls(**{field: value})
+        assert getattr(cls(**{field: np.float64(0.5)}), field) == 0.5
+
+    @pytest.mark.parametrize("cls", [DicaParams, GaParams])
+    def test_non_bool_early_stop_refused_by_name(self, cls):
+        # "no" is true, so the run would have stopped early at the known chromatic number
+        for value in ("no", 0, 1, None):
+            with pytest.raises(ValueError, match=f"^early_stop_at_chromatic must be a bool, got {re.escape(repr(value))}$"):
+                cls(early_stop_at_chromatic=value, known_chromatic=3)
+        assert cls(early_stop_at_chromatic=False, known_chromatic=3).early_stop_at_chromatic is False
+
     @pytest.mark.parametrize("cls", [SearchParams, DicaParams, GaParams])
     def test_integer_like_values_and_bools_are_accepted(self, cls):
         assert cls(population_size=np.int64(20), rng_seed=True, k_max=np.int32(3)).rng_seed is True

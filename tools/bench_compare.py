@@ -7,9 +7,11 @@ BENCHMARK.json beside this script's tools/ directory, it prints one line:
 the parent's and the change's medians and the change's relative difference;
 the pairs the change won, its runs paired with the parent's by seed, a tie
 counting for neither side; the parent's interquartile range (q3 - q1) and
-whether the medians differ by more than it; and BOUND where the change is
+whether the medians differ by more than it; BOUND where the change is
 worse than the parent by more than the metric's `bound`, read as a fraction
-of the parent's median.  `better` says which direction is better.  It exits
+of the parent's median; and GAIN where the change's median is better, it won
+at least 9 in 10 of the pairs, and the medians differ by more than the
+parent's interquartile range.  `better` says which direction is better.  It exits
 1 when any row is marked BOUND and 0 otherwise, after printing every row.
 Both records are as tools/bench_record.py writes them.  Uses the standard
 library only.
@@ -48,18 +50,20 @@ def compare(parent: dict, change: dict, end_to_end: list[dict]) -> list[dict]:
             ]
             iqr = before["metrics"][name]["q3"] - before["metrics"][name]["q1"]
             worse = sign * (old - new)
+            won = sum(g > 0 for g in gains)
             rows.append({
                 "workload": workload,
                 "metric": name,
                 "parent": old,
                 "change": new,
                 "relative": (new - old) / abs(old) if old else None,
-                "won": sum(g > 0 for g in gains),
+                "won": won,
                 "lost": sum(g < 0 for g in gains),
                 "pairs": len(gains),
                 "parent_iqr": iqr,
                 "beyond_iqr": abs(new - old) > iqr,
                 "over_bound": worse > 0 and (not old or worse / abs(old) > metric["bound"]),
+                "gain": worse < 0 and 10 * won >= 9 * len(gains) and abs(new - old) > iqr,
             })
     return rows
 
@@ -75,7 +79,7 @@ def format_rows(rows: list[dict]) -> str:
         lines.append(
             f"{r['workload']:14} {r['metric']:12} {r['parent']:12.5g} {r['change']:12.5g} {rel:>8} "
             f"{r['won']:>3}/{r['pairs']:<2} {r['lost']:>5} {r['parent_iqr']:11.3g} "
-            f"{'yes' if r['beyond_iqr'] else 'no':>5}  {'BOUND' if r['over_bound'] else ''}".rstrip()
+            f"{'yes' if r['beyond_iqr'] else 'no':>5}  {'BOUND' if r['over_bound'] else 'GAIN' if r['gain'] else ''}".rstrip()
         )
     return "\n".join(lines)
 
