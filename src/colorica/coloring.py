@@ -101,9 +101,10 @@ def batch_counts(g: Graph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     summed in one reduce over its (edge, row) clash mask, in the smallest
     unsigned dtype that holds the edge count, so no count wraps.  When every
     colour is below 64, a row's colours are the set bits of one word, the OR of
-    1 << colour over its cells, in the smallest unsigned dtype that holds bit
-    `top`; otherwise they are counted from one flat (row, colour) presence mask.  Colours outside 0..MAX_VERTICES are refused:
-    engines draw them from 1..k_max, and k_max <= MAX_VERTICES bounds that mask.
+    1 << colour over its cells, in the smallest unsigned dtype that holds the
+    largest colour's bit; otherwise they are counted from one flat (row, colour)
+    presence mask.  Colours outside 0..MAX_VERTICES are refused: engines draw
+    them from 1..k_max, and k_max <= MAX_VERTICES bounds that mask.
     """
     arr = np.asarray(rows)
     if arr.ndim != 2 or arr.shape[1] != g.n:

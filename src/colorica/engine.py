@@ -48,7 +48,7 @@ class SearchParams:
         # names no field, and any object in a bool field would be read by its truth
         for f in fields(self):
             value = getattr(self, f.name)
-            kind, _, optional = f.type.partition(" | ")
+            kind, _, optional = str(f.type).partition(" | ")
             if value is None and optional:
                 continue
             if kind == "int" and not isinstance(value, numbers.Integral):
