@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, chain
 
 import numpy as np
@@ -396,39 +397,57 @@ def unite_similar_empires(empires: Empires, threshold: float, xi: float) -> Empi
     then its colonies, join the end of the winner's colonies.  Pairs go in
     index order: imperialist i, while unabsorbed, meets each later unabsorbed
     imperialist closer than `threshold` in turn; totals are from before any
-    merge.  Every pair is measured, a block of rows against all later rows at
-    a time, each block comparing about BATCH_CELLS cells of imperialists
-    narrowed to the smallest integer type that holds their colours, and a
-    block's close pairs merge before the next block is measured, so no more
-    than one block's are held.  Returns new Empires when any pair is close,
-    else `empires`.
+    merge.  At 0 < threshold <= 1/n only equal rows are close: rows are keyed
+    by their bytes and each group of equal rows folds in index order, the
+    winner so far meeting the next.  Above, a block of rows is measured
+    against all later rows at a time, about BATCH_CELLS cells of imperialists
+    narrowed to the smallest integer type that holds their colours, and its
+    close pairs merge before the next block is measured.  Returns new Empires
+    when any pair is close, else `empires`.
     """
     count = len(empires)
     if count < 2:
         return empires
-    imps = empires.imperialists
-    imps = imps.astype(np.promote_types(np.min_scalar_type(imps.min()), np.min_scalar_type(imps.max())))
-    per_block = max(1, BATCH_CELLS // imps.size)
     alive = [True] * count
-    totals = None  # taken at the first merge, so from before any merge
-    for start in range(0, count - 1, per_block):
-        close = normalized_distance(imps[start : start + per_block, None], imps[None, start + 1 :]) < threshold
-        # block row r is imperialist start + r and column c is start + 1 + c, so c >= r keeps the later ones
-        close &= np.arange(close.shape[1]) >= np.arange(len(close))[:, None]
-        for r in np.flatnonzero(close.any(axis=1)).tolist():
-            i = start + r
-            for j in (start + 1 + np.flatnonzero(close[r])).tolist():
-                if not alive[i]:
-                    break
-                if not alive[j]:
-                    continue
-                if totals is None:
-                    totals = empires.totals(xi)
-                    # each empire's colonies as runs of rows of the colonies, then the imperialists
-                    groups = [[range(s, t)] for s, t in zip(empires.bounds, empires.bounds[1:])]
-                win, lose = (i, j) if (totals[i], i) <= (totals[j], j) else (j, i)
-                groups[win] += [(len(empires.colonies) + lose,), *groups[lose]]
-                alive[lose] = False
+    totals = groups = None  # taken at the first merge, so from before any merge
+
+    def merge(i: int, j: int) -> int:
+        """Fold the empire of the higher (total, index) of i and j into the other's; return the winner."""
+        nonlocal totals, groups
+        if totals is None:
+            totals = empires.totals(xi)
+            # each empire's colonies as runs of rows of the colonies, then the imperialists
+            groups = [[range(s, t)] for s, t in zip(empires.bounds, empires.bounds[1:])]
+        win, lose = (i, j) if (totals[i], i) <= (totals[j], j) else (j, i)
+        groups[win] += [(len(empires.colonies) + lose,), *groups[lose]]
+        alive[lose] = False
+        return win
+
+    imps = empires.imperialists
+    n = imps.shape[1]
+    if 0 < threshold <= 1 / n:
+        keys = np.ascontiguousarray(imps).view(np.dtype((np.void, n * imps.itemsize))).ravel().tolist()
+        if len(set(keys)) == count:
+            return empires
+        equal = {}
+        for e, key in enumerate(keys):
+            equal.setdefault(key, []).append(e)
+        for members in equal.values():
+            reduce(merge, members)
+    else:
+        imps = imps.astype(np.promote_types(np.min_scalar_type(imps.min()), np.min_scalar_type(imps.max())))
+        per_block = max(1, BATCH_CELLS // imps.size)
+        for start in range(0, count - 1, per_block):
+            close = normalized_distance(imps[start : start + per_block, None], imps[None, start + 1 :]) < threshold
+            # block row r is imperialist start + r and column c is start + 1 + c, so c >= r keeps the later ones
+            close &= np.arange(close.shape[1]) >= np.arange(len(close))[:, None]
+            for r in np.flatnonzero(close.any(axis=1)).tolist():
+                i = start + r
+                for j in (start + 1 + np.flatnonzero(close[r])).tolist():
+                    if not alive[i]:
+                        break
+                    if alive[j]:
+                        merge(i, j)
     if totals is None:
         return empires
     kept = [e for e in range(count) if alive[e]]
@@ -454,7 +473,7 @@ def imperialistic_competition(empires: Empires, xi: float, rng: np.random.Genera
     if count < 2:
         return empires
     totals = empires.totals(xi)
-    weakest = rank(totals)[-1]
+    weakest = max(zip(totals, range(count)))[1]
     rivals = [i for i in range(count) if i != weakest]
     wheel = roulette_wheel([totals[weakest] - totals[i] for i in rivals])
     if wheel[1] > 0.0:
@@ -464,14 +483,16 @@ def imperialistic_competition(empires: Empires, xi: float, rng: np.random.Genera
     b, cols, costs = empires.bounds, empires.colonies, empires.colony_costs
     s, t = b[weakest], b[weakest + 1]
     if s < t:
-        worst = s + rank(costs[s:t])[-1]
+        worst = max(zip(costs[s:t].tolist(), range(s, t)))[1]
         # after the worst row leaves, the winner's colonies end at `to`
         to = b[winner + 1] - (weakest < winner)
         lo, hi = sorted((worst, to))
-        # the rows lo..hi shift one place toward `worst`, which takes slot `to`
-        moved = np.arange(lo, hi + 1) + (1 if worst < to else -1)
-        moved[to - lo] = worst
-        cols[lo : hi + 1], costs[lo : hi + 1] = cols[moved], costs[moved]
+        down = worst < to
+        # the rows between shift one place toward `worst`, which takes slot `to`
+        for rows in (cols, costs):
+            leaving = rows[worst].copy()
+            rows[lo + 1 - down : hi + 1 - down] = rows[lo + down : hi + down]
+            rows[to] = leaving
         empires.sizes[weakest] -= 1
     else:
         empires.colonies = np.insert(cols, b[winner + 1], empires.imperialists[weakest], axis=0)

@@ -142,8 +142,13 @@ def copy_segment(donor, base, c1: int, c2: int) -> np.ndarray:
 
 def copy_segments(donors: np.ndarray, bases: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """`copy_segment` on a whole (count, n) batch: row i of `bases` with row i of
-    `donors`' cells cuts[i, 0]..cuts[i, 1] (1-based, inclusive), as a new array."""
-    cell = np.arange(1, bases.shape[1] + 1)
+    `donors`' cells cuts[i, 0]..cuts[i, 1] (1-based, inclusive), as a new array.
+    Cuts clipped to 0..n + 1 keep their cells, so they compare in the type of n + 1."""
+    n = bases.shape[1]
+    kind = np.min_scalar_type(n + 1)
+    cell = np.arange(1, n + 1, dtype=kind)
+    # np.minimum and np.maximum, not np.clip, whose checks cost more than the whole mask here
+    cuts = np.minimum(np.maximum(cuts, 0), n + 1).astype(kind)
     inside = (cuts[:, :1] <= cell) & (cell <= cuts[:, 1:])
     return np.where(inside, donors, bases)
 

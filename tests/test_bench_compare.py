@@ -141,3 +141,46 @@ def test_main_exits_zero_when_no_row_is_past_its_bound(bench_compare, tmp_path, 
     assert bench_compare.main([str(parent), str(change)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4 and not any(line.endswith("BOUND") for line in lines)
+
+
+def test_a_control_is_shown_and_a_gain_must_pass_it(bench_compare):
+    seeds = range(31, 41)
+    parent = _record({s: {"op_s.p50": 0.20 + 0.001 * (s - 31)} for s in seeds})  # IQR 0.009, median 0.205
+    change = _record({s: {"op_s.p50": 0.19 + 0.001 * (s - 31)} for s in seeds})  # median 0.195, 0.01 off
+    near = _record({s: {"op_s.p50": 0.198 + 0.001 * (s - 31)} for s in seeds})  # median 0.203, 0.002 off
+    far = _record({s: {"op_s.p50": 0.19 + 0.001 * (s - 31)} for s in seeds})  # as far off as the change
+    (row,) = bench_compare.compare(parent, change, END_TO_END, near)
+    assert row["control"] == pytest.approx(-0.002 / 0.205) and row["gain"] is True
+    (row,) = bench_compare.compare(parent, change, END_TO_END, far)
+    assert row["control"] == pytest.approx(-0.01 / 0.205) and row["gain"] is False
+    # a control further off in the worse direction is just as far from the parent
+    (row,) = bench_compare.compare(parent, change, END_TO_END, _record({s: {"op_s.p50": 0.22} for s in seeds}))
+    assert row["gain"] is False
+    # a control without the metric or the workload cannot be passed, so no row is a gain
+    (row,) = bench_compare.compare(parent, change, END_TO_END, _record({s: {"peak_rss_mb": 40.0} for s in seeds}))
+    assert (row["control"], row["gain"]) == (None, False)
+    (row,) = bench_compare.compare(parent, change, END_TO_END, _record({31: {"op_s.p50": 0.2}}, workload="ga-myciel5"))
+    assert (row["control"], row["gain"]) == (None, False)
+    # BOUND does not look at the control
+    (row,) = bench_compare.compare(parent, _record({s: {"op_s.p50": 0.30} for s in seeds}), END_TO_END, near)
+    assert (row["over_bound"], row["gain"]) == (True, False)
+
+
+def test_main_prints_the_control_beside_each_row(bench_compare, tmp_path, capsys):
+    paths = {name: tmp_path / f"BENCH_{name}.json" for name in ("a", "b", "c")}
+    paths["a"].write_text(json.dumps(PARENT))
+    paths["b"].write_text(json.dumps(CHANGE))
+    control = _record({
+        31: {"op_s.p50": 0.20, "evals_per_s": 100.0},
+        32: {"op_s.p50": 0.22, "evals_per_s": 110.0},
+        33: {"op_s.p50": 0.22, "evals_per_s": 120.0},
+    })
+    paths["c"].write_text(json.dumps(control))
+    # evals_per_s is still past its bound, so the exit status is still 1
+    assert bench_compare.main([str(paths["a"]), str(paths["b"]), "--control", str(paths["c"])]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[4:6] == ["rel", "control"]
+    body = [line.split() for line in lines[1:]]
+    # op_s.p50: the change -9.5%, the control 0.22 against 0.21; the control has no peak_rss_mb
+    assert [b[4:7] for b in body] == [["-9.5%", "+4.8%", "2/3"], ["-27.3%", "+0.0%", "0/3"], ["+10.0%", "n/a", "0/3"]]
+    assert body[1][-1] == "BOUND"

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from colorica.dica import (
     run_dica,
     unite_similar_empires,
 )
+from colorica.engine import rank, roulette_wheel, spin
 from colorica.graphs import MAX_VERTICES, Graph, complete_graph, mycielski_graph, queen_graph
 
 
@@ -787,13 +789,14 @@ def _unite_all_pairs(empires, threshold, xi, nearest_first=False):
     """The merge rule measured over every pair of imperialists, on per-empire
     lists: close pairs go by (i, j), or by (distance, i, j) given `nearest_first`."""
     state = _state(empires)
-    if len(state) < 2:
-        return state
-    rows, cols = np.triu_indices(len(state), 1)
-    dists = normalized_distance(empires.imperialists[rows], empires.imperialists[cols])
-    close = np.flatnonzero(dists < threshold)
+    imps = empires.imperialists
+    pairs = []
+    # imperialist i against every later one, a row at a time, so thousands of rows fit
+    for i in range(len(state) - 1):
+        dists = normalized_distance(imps[i], imps[i + 1 :])
+        close = np.flatnonzero(dists < threshold)
+        pairs += zip(dists[close].tolist(), [i] * close.size, (i + 1 + close).tolist())
     totals = [cost + xi * (math.fsum(costs) / len(costs) if costs else 0.0) for _, cost, _, costs in state]
-    pairs = zip(dists[close].tolist(), rows[close].tolist(), cols[close].tolist())
     pairs = sorted(pairs) if nearest_first else sorted(pairs, key=lambda p: p[1:])
     alive = [True] * len(state)
     for _, i, j in pairs:
@@ -824,6 +827,21 @@ def _empire_stack(n, count, rng):
             [float(c) for c in rng.integers(1, 9, size=colonies)],
         ))
     return _stack(*empires)
+
+
+def _planted_stack(n, count, rng):
+    """Empires whose imperialists are copies of count // 4 rows of wide colours,
+    so equal rows come in groups of mixed totals, a fifth of them then moved
+    off their row in one cell; 0-3 colonies each, costs of a few values."""
+    bases = rng.integers(1, count, size=(count // 4, n))
+    imps = bases[rng.integers(len(bases), size=count)]
+    moved = np.flatnonzero(rng.random(count) < 0.2)
+    imps[moved, rng.integers(n, size=moved.size)] += count
+    sizes = rng.integers(4, size=count)
+    return Empires(
+        imps, rng.integers(1, 6, size=count).astype(float), rng.integers(1, 4, size=(sizes.sum(), n)),
+        rng.integers(1, 9, size=sizes.sum()).astype(float), sizes.tolist(),
+    )
 
 
 def _assert_same_merges(empires, threshold):
@@ -878,6 +896,29 @@ class TestUniteFilter:
                 empires = _empire_stack(n, count, rng)
                 want = _unite_all_pairs(empires, threshold, xi=0.1, nearest_first=True)
                 assert _state(unite_similar_empires(empires, threshold, xi=0.1)) == want
+
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_equal_rows_keyed_by_bytes_merge_as_every_pair(self, monkeypatch, n):
+        # at 0 < threshold <= 1/n rows are grouped by their bytes and measured by no
+        # normalized_distance; just above 1/n rows one cell apart are close too
+        measured = []
+
+        def measuring(a, b):
+            measured.append(a.shape)
+            return normalized_distance(a, b)
+
+        monkeypatch.setattr(dica, "normalized_distance", measuring)
+        empires = _planted_stack(n, 2000, np.random.default_rng(n))
+        left = {}
+        for threshold, by_blocks in (
+            (1 / n, False), (np.nextafter(1 / n, 0), False), (np.nextafter(1 / n, 1), True), (0.0, True),
+        ):
+            measured.clear()
+            _assert_same_merges(empires, float(threshold))
+            assert bool(measured) == by_blocks
+            left[threshold] = len(unite_similar_empires(empires, float(threshold), xi=0.1))
+        assert left[0.0] == 2000
+        assert left[np.nextafter(1 / n, 1)] < left[1 / n] == left[np.nextafter(1 / n, 0)] < 2000
 
     @pytest.mark.parametrize("threshold", [0.02, 0.5, 1.0])
     def test_negative_and_wide_colours_stay_apart(self, threshold):
@@ -959,6 +1000,71 @@ class TestCompetition:
     def test_single_empire_skips(self):
         only = _empires((3, [4]))
         assert imperialistic_competition(only, 0.1, np.random.default_rng(0)) is only
+
+
+def _competition_by_rank(empires, xi, rng):
+    """`imperialistic_competition` as it was written with `rank` and an index gather."""
+    count = len(empires)
+    if count < 2:
+        return empires
+    totals = empires.totals(xi)
+    weakest = rank(totals)[-1]
+    rivals = [i for i in range(count) if i != weakest]
+    wheel = roulette_wheel([totals[weakest] - totals[i] for i in rivals])
+    if wheel[1] > 0.0:
+        winner = rivals[int(spin(wheel, rng.random()))]
+    else:
+        winner = rivals[int(rng.integers(len(rivals)))]
+    b, cols, costs = empires.bounds, empires.colonies, empires.colony_costs
+    s, t = b[weakest], b[weakest + 1]
+    if s < t:
+        worst = s + rank(costs[s:t])[-1]
+        to = b[winner + 1] - (weakest < winner)
+        lo, hi = sorted((worst, to))
+        moved = np.arange(lo, hi + 1) + (1 if worst < to else -1)
+        moved[to - lo] = worst
+        cols[lo : hi + 1], costs[lo : hi + 1] = cols[moved], costs[moved]
+        empires.sizes[weakest] -= 1
+    else:
+        empires.colonies = np.insert(cols, b[winner + 1], empires.imperialists[weakest], axis=0)
+        empires.colony_costs = np.insert(costs, b[winner + 1], empires.imperialist_costs[weakest])
+        empires.imperialists = np.delete(empires.imperialists, weakest, axis=0)
+        empires.imperialist_costs = np.delete(empires.imperialist_costs, weakest)
+        del empires.sizes[weakest]
+        winner -= weakest < winner
+    empires.sizes[winner] += 1
+    empires.bounds = list(accumulate(empires.sizes, initial=0))
+    return empires
+
+
+class TestCompetitionAsByRank:
+    def test_same_moves_and_draws_as_the_rank_and_gather_body(self):
+        rng = np.random.default_rng(61)
+        seen = set()
+        for _ in range(600):
+            # costs of three values, so weakest empires and worst colonies often tie
+            specs = [
+                (int(rng.integers(1, 4)), rng.integers(1, 4, size=rng.integers(4)).tolist())
+                for _ in range(rng.integers(2, 7))
+            ]
+            xi, seed = float(rng.choice([0.0, 0.5])), int(rng.integers(1 << 30))
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = _competition_by_rank(_empires(*specs), xi, want_rng)
+            got = imperialistic_competition(_empires(*specs), xi, got_rng)
+            assert _state(got) == _state(want) and got.bounds == want.bounds
+            assert got_rng.random() == want_rng.random()
+            totals = _empires(*specs).totals(xi)
+            weakest = max(range(len(totals)), key=lambda e: (totals[e], e))
+            colonies = specs[weakest][1]
+            seen.add("tied weakest" if totals.count(totals[weakest]) > 1 else "one weakest")
+            if not colonies:
+                seen.add("dissolved")
+                continue
+            if colonies.count(max(colonies)) > 1:
+                seen.add("tied worst")
+            winner = next(e for e, (a, b) in enumerate(zip(got.sizes, _empires(*specs).sizes)) if a > b)
+            seen.add("winner after" if weakest < winner else "winner before")
+        assert seen == {"tied weakest", "one weakest", "dissolved", "tied worst", "winner after", "winner before"}
 
 
 class TestRunDica:

@@ -85,6 +85,20 @@ class TestCopySegments:
                 assert got[i].tolist() == want.tolist()
                 assert copy_segment(donors[i], bases[i], c1, c2).tolist() == want.tolist()
 
+    @pytest.mark.parametrize("n", [255, 256, 65535, 65536])
+    def test_narrow_mask_as_the_int64_one_for_any_cuts(self, n):
+        # cuts outside 1..n, reversed and far past either end, besides drawn ones
+        gen = np.random.default_rng(n)
+        cuts = np.array([
+            [1, n], [0, n + 1], [0, 0], [n + 1, n + 1], [-5, 3], [-3, -1], [n, n + 1], [n + 1, n + 7],
+            [5, 3], [n + 1, 0], [-(1 << 40), 1 << 40], *cut_points(n, 5, gen).tolist(),
+        ])
+        donors = gen.integers(1, 9, size=(len(cuts), n))
+        bases = gen.integers(1, 9, size=(len(cuts), n))
+        cell = np.arange(1, n + 1, dtype=np.int64)
+        want = np.where((cuts[:, :1] <= cell) & (cell <= cuts[:, 1:]), donors, bases)
+        assert np.array_equal(copy_segments(donors, bases, cuts), want)
+
     def test_inputs_unchanged(self):
         donors, bases = np.ones((2, 4), dtype=np.int64), np.zeros((2, 4), dtype=np.int64)
         got = copy_segments(donors, bases, np.array([[1, 2], [4, 4]]))
