@@ -84,12 +84,12 @@ def run_trials(
 ) -> list[TrialRecord]:
     """Run `runs` independent solves seeded seed_base..seed_base+runs-1, judged
     against `meta`'s chromatic number, else the exact oracle's."""
-    if algo not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algo!r}")
+    solver, kind = (run_dica, DicaParams) if algo == "dica" else (run_ga, GaParams)
+    if algo not in ALGORITHMS or not isinstance(base_params, kind):
+        raise ValueError(f"need 'dica' with DicaParams or 'ga' with GaParams, got {algo!r} with {type(base_params).__name__}")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     chi = resolve_chromatic(g, meta)
-    solver = run_dica if algo == "dica" else run_ga
     records: list[TrialRecord] = []
     for i in range(runs):
         seed = seed_base + i

@@ -20,7 +20,7 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count
 
 import numpy as np
 
@@ -28,10 +28,7 @@ import numpy as np
 # a name the benchmark's probe and its tests look up
 from .coloring import BATCH_CELLS, CostParams, cost  # noqa: F401
 from .engine import (
-    TERMINATED_DECADES,
-    TERMINATED_EARLY_STOP,
     TERMINATED_SINGLE_EMPIRE,
-    BestSoFar,
     RunResult,
     SearchParams,
     copy_segment,
@@ -40,6 +37,7 @@ from .engine import (
     init_population,
     rank,
     roulette_wheel,
+    run_search,
     spin,
 )
 from .graphs import Graph
@@ -403,10 +401,11 @@ def unite_similar_empires(empires: Empires, threshold: float, xi: float) -> Empi
     against all later rows at a time, about BATCH_CELLS cells of imperialists
     narrowed to the smallest integer type that holds their colours, and its
     close pairs merge before the next block is measured.  Returns new Empires
-    when any pair is close, else `empires`.
+    when any pair is close, else `empires`, at once when threshold <= 0, below
+    which no distance falls.
     """
     count = len(empires)
-    if count < 2:
+    if count < 2 or threshold <= 0:
         return empires
     alive = [True] * count
     totals = groups = None  # taken at the first merge, so from before any merge
@@ -507,7 +506,8 @@ def imperialistic_competition(empires: Empires, xi: float, rng: np.random.Genera
 
 
 def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) -> RunResult:
-    """Full search loop; deterministic for a given (graph, params) pair.
+    """Full search loop, one decade a step of `run_search`; deterministic for a
+    given (graph, params) pair, and ends single_empire when one empire is left.
 
     The run is one `Empires`: an (E, n) imperialist array and a (C, n) colony
     array, each beside its rows' float64 costs from `BestSoFar.offer`.  Every
@@ -525,36 +525,33 @@ def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) ->
     exchange, and kept current by the descent.  Every colour stays in 1..k_max;
     the result is the same with or without it.
     """
-    rng = np.random.default_rng(params.rng_seed)
-    best = BestSoFar(g, params)
-    population = np.array(init_population(g, params, rng))
-    empires = form_empires(population, best.offer(population), params.n_imperialists, rng)
-    revolution_rate = params.revolution_rate
     width = params.palette(g) + 1
     table_cells = max(width * g.n, 2 * g.m)
-    table = None
 
-    for decade in range(params.decades):
-        owner = np.repeat(np.arange(len(empires)), empires.sizes)
-        empires.colonies = colony_step(empires.imperialists, empires.colonies, owner, revolution_rate, rng)
-        empires.colony_costs = best.offer(empires.colonies)
-        swapped = exchange_if_better(empires)
-        # besides exchanges and the descent, only a merge or a dissolution moves imperialists, and both drop rows
-        if (table is None or len(table) != len(empires)) and len(empires) * table_cells <= BATCH_CELLS:
-            table = neighbour_table(g, empires.imperialists, width)
-        elif table is not None and swapped:
-            table[swapped] = neighbour_table(g, empires.imperialists[swapped], width)
-        empires.imperialists = descend(g, empires.imperialists, IMPERIALIST_DESCENT_STEPS, rng, table)
-        empires.imperialist_costs = best.offer(empires.imperialists)
-        if _inspect is not None:
-            _inspect("post_exchange", decade, empires)
-        empires = unite_similar_empires(empires, params.uniting_threshold, params.xi)
-        empires = imperialistic_competition(empires, params.xi, rng)
-        revolution_rate *= params.damp_ratio
-        if _inspect is not None:
-            _inspect("end", decade, empires)
-        if best.end_iteration():
-            return best.result(TERMINATED_EARLY_STOP)
-        if len(empires) == 1:
-            return best.result(TERMINATED_SINGLE_EMPIRE)
-    return best.result(TERMINATED_DECADES)
+    def search(rng, best):
+        population = np.array(init_population(g, params, rng))
+        empires = form_empires(population, best.offer(population), params.n_imperialists, rng)
+        revolution_rate = params.revolution_rate
+        table = None
+        for decade in count():
+            owner = np.repeat(np.arange(len(empires)), empires.sizes)
+            empires.colonies = colony_step(empires.imperialists, empires.colonies, owner, revolution_rate, rng)
+            empires.colony_costs = best.offer(empires.colonies)
+            swapped = exchange_if_better(empires)
+            # besides exchanges and the descent, only a merge or a dissolution moves imperialists, and both drop rows
+            if (table is None or len(table) != len(empires)) and len(empires) * table_cells <= BATCH_CELLS:
+                table = neighbour_table(g, empires.imperialists, width)
+            elif table is not None and swapped:
+                table[swapped] = neighbour_table(g, empires.imperialists[swapped], width)
+            empires.imperialists = descend(g, empires.imperialists, IMPERIALIST_DESCENT_STEPS, rng, table)
+            empires.imperialist_costs = best.offer(empires.imperialists)
+            if _inspect is not None:
+                _inspect("post_exchange", decade, empires)
+            empires = unite_similar_empires(empires, params.uniting_threshold, params.xi)
+            empires = imperialistic_competition(empires, params.xi, rng)
+            revolution_rate *= params.damp_ratio
+            if _inspect is not None:
+                _inspect("end", decade, empires)
+            yield TERMINATED_SINGLE_EMPIRE if len(empires) == 1 else None
+
+    return run_search(g, params, params.decades, search)

@@ -1,8 +1,9 @@
 """What both population engines share: the common parameters, checked when
 made, the default penalty, the initial population, the cost-then-index
 ranking, the cut points and segment copy of assimilation and crossover (one
-row or a batch), the roulette wheel, the result, and `BestSoFar`, the run
-contract: an engine only makes batches of rows and offers them.
+row or a batch), the roulette wheel, the result, `BestSoFar`, the run
+contract (an engine only makes batches of rows and offers them), and
+`run_search`, the one run loop both engines step through.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -172,8 +174,8 @@ class BestSoFar:
     params, it counts every batch of rows it is offered with
     `coloring.batch_counts`, turns the counts into float64 search costs, and
     keeps its own copy of the cheapest row so far, with that row's exact cost
-    (an int when it is proper) and counts, and the per-iteration best costs.
-    It knows the early-stop rule; it never calls `cost`."""
+    (an int when it is proper) and counts, and the per-iteration best costs
+    `run_search` logs.  It holds the early-stop bound; it never calls `cost`."""
 
     def __init__(self, g: Graph, params: SearchParams) -> None:
         self.g = g
@@ -196,14 +198,29 @@ class BestSoFar:
             self.cost = exact_cost(self.conflicts, self.used, self.cost_params)
         return costs
 
-    def end_iteration(self) -> bool:
-        """Log the best cost of a finished iteration; True if the run asked to stop
-        at a known chromatic number and a proper colouring within it is in hand."""
-        self.history.append(self.cost)
-        return self.stop_at is not None and self.conflicts == 0 and self.used <= self.stop_at
-
     def result(self, terminated_by: str) -> RunResult:
         return RunResult(
             tuple(int(x) for x in self.row), self.cost, self.conflicts, self.used,
             len(self.history), tuple(self.history), terminated_by,
         )
+
+
+def run_search(g: Graph, params: SearchParams, iterations: int, search) -> RunResult:
+    """One run of an engine.  `search(rng, best)` is the engine's generator:
+    given the RNG seeded from `params.rng_seed` and the run's `BestSoFar`, it
+    makes and offers its population, then does one iteration a step and yields
+    the reason the run ends there, or None.  At most `iterations` steps are
+    taken, so no step and no draw runs past the budget.  After each step the
+    best cost is logged, and the run ends early_stop once the known chromatic
+    number is reached, else for the reason the step gave; a run that takes
+    every step ends decades_exhausted.
+    """
+    rng = np.random.default_rng(params.rng_seed)
+    best = BestSoFar(g, params)
+    for reason in islice(search(rng, best), iterations):
+        best.history.append(best.cost)
+        if best.stop_at is not None and best.conflicts == 0 and best.used <= best.stop_at:
+            reason = TERMINATED_EARLY_STOP
+        if reason is not None:
+            return best.result(reason)
+    return best.result(TERMINATED_DECADES)

@@ -10,6 +10,7 @@ call, and one offer to `BestSoFar` scores them all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -17,9 +18,6 @@ import numpy as np
 # the benchmark's probe and its tests look up
 from .coloring import BATCH_CELLS, cost  # noqa: F401
 from .engine import (
-    TERMINATED_DECADES,
-    TERMINATED_EARLY_STOP,
-    BestSoFar,
     RunResult,
     SearchParams,
     copy_segment,
@@ -28,6 +26,7 @@ from .engine import (
     init_population,
     rank,
     roulette_wheel,
+    run_search,
     spin,
 )
 from .graphs import Graph
@@ -143,7 +142,8 @@ def breed(pool: np.ndarray, costs, elite, k_max: int, params: GaParams, rng) -> 
 
 
 def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
-    """Full generational loop; deterministic for a given (graph, params) pair.
+    """Full generational loop, one generation a step of `run_search`;
+    deterministic for a given (graph, params) pair.
 
     A generation is one (size, n) array, built by one `breed` call (its
     `elitism_count` cheapest rows by `rank`, carried over unchanged, then the
@@ -152,29 +152,27 @@ def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
     keeps the first cheapest and returns their costs.  `_inspect` gets the
     generation as a list of rows and its costs as a list of Python floats.
     """
-    rng = np.random.default_rng(params.rng_seed)
     k_max = params.palette(g)
-    best = BestSoFar(g, params)
-
-    population = init_population(g, params, rng)
-    pool = np.array(population)
-    costs = best.offer(pool)
-    if _inspect is None:
-        # only `_inspect` sees the rows as a list: each elite carried over as
-        # the same object, each child a new one
-        population = None
     kept = params.elitism_count
 
-    for generation in range(params.generations):
-        elite = rank(costs)[:kept]
-        pool = breed(pool, costs, elite, k_max, params, rng)
-        children = pool[kept:]
-        costs = np.concatenate((costs[elite], best.offer(children)))
-        if _inspect is not None:
-            # each child its own copy: a carried row that was a view would keep
-            # its whole generation's array alive
-            population = [population[j] for j in elite] + [row.copy() for row in children]
-            _inspect("end", generation, population, costs.tolist())
-        if best.end_iteration():
-            return best.result(TERMINATED_EARLY_STOP)
-    return best.result(TERMINATED_DECADES)
+    def search(rng, best):
+        population = init_population(g, params, rng)
+        pool = np.array(population)
+        costs = best.offer(pool)
+        if _inspect is None:
+            # only `_inspect` sees the rows as a list: each elite carried over as
+            # the same object, each child a new one
+            population = None
+        for generation in count():
+            elite = rank(costs)[:kept]
+            pool = breed(pool, costs, elite, k_max, params, rng)
+            children = pool[kept:]
+            costs = np.concatenate((costs[elite], best.offer(children)))
+            if _inspect is not None:
+                # each child its own copy: a carried row that was a view would keep
+                # its whole generation's array alive
+                population = [population[j] for j in elite] + [row.copy() for row in children]
+                _inspect("end", generation, population, costs.tolist())
+            yield None
+
+    return run_search(g, params, params.generations, search)

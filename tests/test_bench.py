@@ -119,6 +119,13 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trials(g, meta, "tabu", FAST_DICA)
 
+    @pytest.mark.parametrize("algo, params", [("dica", FAST_GA), ("ga", FAST_DICA)])
+    def test_params_of_the_other_engine_rejected(self, algo, params):
+        g, meta = _k3_meta()
+        name = type(params).__name__
+        with pytest.raises(ValueError, match=f"got '{algo}' with {name}$"):
+            run_trials(g, meta, algo, params)
+
     def test_zero_runs_rejected(self):
         g, meta = _k3_meta()
         with pytest.raises(ValueError):

@@ -19,9 +19,6 @@ from colorica.coloring import (
 )
 from colorica import dica
 from colorica.dica import (
-    TERMINATED_DECADES,
-    TERMINATED_EARLY_STOP,
-    TERMINATED_SINGLE_EMPIRE,
     DicaParams,
     Empires,
     assimilate,
@@ -39,7 +36,14 @@ from colorica.dica import (
     run_dica,
     unite_similar_empires,
 )
-from colorica.engine import rank, roulette_wheel, spin
+from colorica.engine import (
+    TERMINATED_DECADES,
+    TERMINATED_EARLY_STOP,
+    TERMINATED_SINGLE_EMPIRE,
+    rank,
+    roulette_wheel,
+    spin,
+)
 from colorica.graphs import MAX_VERTICES, Graph, complete_graph, mycielski_graph, queen_graph
 
 
@@ -757,6 +761,16 @@ class TestUnite:
         imp = np.array([1, 2, 3, 4])
         assert len(unite_similar_empires(_stack((imp, 1.0, [], []), (imp + 0, 1.0, [], [])), 0.0, xi=0.1)) == 2
 
+    def test_zero_threshold_returns_at_once(self, monkeypatch):
+        # no normalized distance is below 0, so no pair is measured, equal rows included
+        def refusing(a, b):
+            raise AssertionError("normalized_distance called at threshold 0")
+
+        monkeypatch.setattr(dica, "normalized_distance", refusing)
+        imp = np.array([1, 2, 3, 4])
+        empires = _stack(*[(imp + (e % 3), float(e), [[5, 5, 5, 5]], [9.0]) for e in range(12)])
+        assert unite_similar_empires(empires, 0.0, xi=0.1) is empires
+
     def test_absorbed_empire_cannot_absorb_later(self):
         base = np.ones(4, dtype=int)
         empires = _stack((base, 1.0, [], []), (base + 0, 2.0, [], []), (base + 0, 3.0, [], []))
@@ -900,7 +914,8 @@ class TestUniteFilter:
     @pytest.mark.parametrize("n", [2, 7])
     def test_equal_rows_keyed_by_bytes_merge_as_every_pair(self, monkeypatch, n):
         # at 0 < threshold <= 1/n rows are grouped by their bytes and measured by no
-        # normalized_distance; just above 1/n rows one cell apart are close too
+        # normalized_distance, nor at 0, where none is close; just above 1/n rows
+        # one cell apart are close too
         measured = []
 
         def measuring(a, b):
@@ -911,7 +926,7 @@ class TestUniteFilter:
         empires = _planted_stack(n, 2000, np.random.default_rng(n))
         left = {}
         for threshold, by_blocks in (
-            (1 / n, False), (np.nextafter(1 / n, 0), False), (np.nextafter(1 / n, 1), True), (0.0, True),
+            (1 / n, False), (np.nextafter(1 / n, 0), False), (np.nextafter(1 / n, 1), True), (0.0, False),
         ):
             measured.clear()
             _assert_same_merges(empires, float(threshold))

@@ -1,6 +1,7 @@
 """The shared engine core: the ranking and first-cheapest rules, the roulette
 wheel, the segment copy, the params checks, the penalty bound, the seed, the
-population bound and the colours the engines offer."""
+population bound, the colours the engines offer and the run loop's budget and
+stop order."""
 
 import re
 
@@ -18,6 +19,9 @@ from colorica import engine
 from colorica.dica import DicaParams, run_dica
 from colorica.engine import (
     MAX_POPULATION_CELLS,
+    TERMINATED_DECADES,
+    TERMINATED_EARLY_STOP,
+    TERMINATED_SINGLE_EMPIRE,
     BestSoFar,
     SearchParams,
     copy_segment,
@@ -26,6 +30,7 @@ from colorica.engine import (
     init_population,
     rank,
     roulette_wheel,
+    run_search,
     spin,
 )
 from colorica.ga import GaParams, run_ga
@@ -111,6 +116,31 @@ class TestSeed:
         with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
             SearchParams(rng_seed=-1)
         SearchParams(rng_seed=0)
+
+
+class TestRunSearch:
+    def test_takes_no_step_past_the_budget(self):
+        steps = []
+
+        def search(rng, best):
+            best.offer([[1, 2, 3]])
+            while True:
+                steps.append(rng.random())
+                yield None
+
+        result = run_search(complete_graph(3), SearchParams(rng_seed=4), 5, search)
+        assert result.terminated_by == TERMINATED_DECADES and result.decades_executed == 5
+        assert steps == np.random.default_rng(4).random(5).tolist()
+
+    def test_early_stop_before_the_step_reason(self):
+        # an edgeless graph: dica's one imperialist is one empire from the start,
+        # and every colouring in one colour is proper
+        g = Graph(3, ())
+        params = dict(population_size=10, k_max=1, known_chromatic=1)
+        early = run_dica(g, DicaParams(**params, early_stop_at_chromatic=True))
+        assert (early.terminated_by, early.decades_executed) == (TERMINATED_EARLY_STOP, 1)
+        single = run_dica(g, DicaParams(**params))
+        assert (single.terminated_by, single.decades_executed) == (TERMINATED_SINGLE_EMPIRE, 1)
 
 
 class TestPopulationBound:

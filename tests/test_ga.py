@@ -7,8 +7,7 @@ import pytest
 
 import colorica.ga
 from colorica.coloring import CostParams, cost, count_conflicts, distinct_colours, is_valid
-from colorica.dica import TERMINATED_DECADES, TERMINATED_EARLY_STOP
-from colorica.engine import BestSoFar, init_population
+from colorica.engine import TERMINATED_DECADES, TERMINATED_EARLY_STOP, BestSoFar, init_population
 from colorica.ga import (
     GaParams,
     breed,
@@ -249,7 +248,7 @@ class TestRunGa:
     def test_generation_budget_respected(self):
         g = mycielski_graph(4)
         result = run_ga(g, GaParams(population_size=20, generations=7, rng_seed=1))
-        assert result.decades_executed == 7
+        assert result.decades_executed == len(result.cost_history) == 7
         assert result.terminated_by == TERMINATED_DECADES
 
     def test_early_stop_on_known_chromatic_number(self):
@@ -303,7 +302,8 @@ def _child_by_child_ga(g, params, _inspect=None):
     """The generation loop child by child: the random draws `breed` makes, in the
     same order and shapes, then each child built on its own by `crossover_2pt_at`
     or a copy and a one-cell assignment, scored by `cost` and offered as the best
-    as a one-row batch."""
+    as a one-row batch.  It logs the best cost and checks the early stop itself,
+    as `run_search` does after each step."""
     rng = np.random.default_rng(params.rng_seed)
     k_max = params.palette(g)
     cost_params = params.cost_params(g)
@@ -343,7 +343,8 @@ def _child_by_child_ga(g, params, _inspect=None):
         population, costs = new_pop, new_costs
         if _inspect is not None:
             _inspect("end", generation, population, [float(c) for c in costs])
-        if best.end_iteration():
+        best.history.append(best.cost)
+        if params.early_stop_at_chromatic and best.conflicts == 0 and best.used <= params.known_chromatic:
             return best.result(TERMINATED_EARLY_STOP)
     return best.result(TERMINATED_DECADES)
 
