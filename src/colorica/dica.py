@@ -17,7 +17,7 @@ until one empire remains or the decade budget runs out.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain, count
@@ -121,8 +121,10 @@ class Empires(Sequence):
     """A run's countries as two arrays.  Row e of `imperialists` heads empire e;
     `colonies` holds every colony, empire by empire, each empire's in the order
     it gained them, `sizes[e]` for empire e.  Beside each is a float64 array of
-    its rows' costs, and a row and its cost move by the same index.  Indexing or
-    iterating gives each empire's `Empire` view, built on demand."""
+    its rows' costs, and a row and its cost move by the same index.  `sizes` and
+    `bounds` are not edited once made: a merge, a colony's move or a collapse
+    returns new Empires.  Indexing or iterating gives each empire's `Empire`
+    view, built on demand."""
 
     imperialists: np.ndarray
     imperialist_costs: np.ndarray
@@ -388,43 +390,65 @@ def normalized_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     return np.not_equal(a, b).sum(axis=-1, dtype=np.min_scalar_type(n)) / n
 
 
+def absorb(empires: Empires, merges: Iterable[tuple[int, int]]) -> Empires:
+    """New Empires after each (winner, loser) pair of positions in `empires`, in
+    turn: the loser's imperialist, then its colonies, join the end of the
+    winner's colonies.  A loser then holds nothing and is dropped; the
+    survivors keep their index order.  `empires` is left untouched.  Each pair
+    names two distinct empires that no earlier pair absorbed."""
+    # each empire's colonies as runs of rows of the colonies, then the imperialists
+    groups = [[range(s, t)] for s, t in zip(empires.bounds, empires.bounds[1:])]
+    lost = set()
+    for win, lose in merges:
+        groups[win] += [(len(empires.colonies) + lose,), *groups[lose]]
+        lost.add(lose)
+    kept = [e for e in range(len(empires)) if e not in lost]
+    owned = [list(chain.from_iterable(groups[e])) for e in kept]
+    order = list(chain.from_iterable(owned))
+    countries = np.concatenate((empires.colonies, empires.imperialists))
+    costs = np.concatenate((empires.colony_costs, empires.imperialist_costs))
+    return Empires(
+        empires.imperialists[kept], empires.imperialist_costs[kept], countries[order], costs[order],
+        [len(o) for o in owned],
+    )
+
+
 def unite_similar_empires(empires: Empires, threshold: float, xi: float) -> Empires:
     """Merge empire pairs whose imperialists differ on less than `threshold` of cells.
 
-    The lower-total-cost empire absorbs the other: the loser's imperialist,
-    then its colonies, join the end of the winner's colonies.  Pairs go in
-    index order: imperialist i, while unabsorbed, meets each later unabsorbed
-    imperialist closer than `threshold` in turn; totals are from before any
-    merge.  At 0 < threshold <= 1/n only equal rows are close: rows are keyed
-    by their bytes and each group of equal rows folds in index order, the
-    winner so far meeting the next.  Above, a block of rows is measured
-    against all later rows at a time, about BATCH_CELLS cells of imperialists
-    narrowed to the smallest integer type that holds their colours, and its
-    close pairs merge before the next block is measured.  Returns new Empires
-    when any pair is close, else `empires`, at once when threshold <= 0, below
-    which no distance falls.
+    The lower-total-cost empire absorbs the other by `absorb`: the loser's
+    imperialist, then its colonies, join the end of the winner's colonies.
+    Pairs go in index order: imperialist i, while unabsorbed, meets each later
+    unabsorbed imperialist closer than `threshold` in turn; totals are from
+    before any merge.  At 0 < threshold <= 1/n only equal rows are close: rows
+    are keyed by their bytes and each group of equal rows folds in index
+    order, the winner so far meeting the next.  Above, a block of rows is
+    measured against all later rows at a time, about BATCH_CELLS cells of
+    imperialists narrowed to the smallest integer type that holds their
+    colours, and its close pairs merge before the next block is measured.
+    Returns new Empires when any pair is close, else `empires`, at once when
+    threshold <= 0, below which no distance falls.
     """
     count = len(empires)
     if count < 2 or threshold <= 0:
         return empires
     alive = [True] * count
-    totals = groups = None  # taken at the first merge, so from before any merge
+    merges = []
+    totals = None  # taken at the first merge, so from before any merge
 
     def merge(i: int, j: int) -> int:
-        """Fold the empire of the higher (total, index) of i and j into the other's; return the winner."""
-        nonlocal totals, groups
+        """Record the higher (total, index) of i and j as absorbed by the other; return the winner."""
+        nonlocal totals
         if totals is None:
             totals = empires.totals(xi)
-            # each empire's colonies as runs of rows of the colonies, then the imperialists
-            groups = [[range(s, t)] for s, t in zip(empires.bounds, empires.bounds[1:])]
         win, lose = (i, j) if (totals[i], i) <= (totals[j], j) else (j, i)
-        groups[win] += [(len(empires.colonies) + lose,), *groups[lose]]
+        merges.append((win, lose))
         alive[lose] = False
         return win
 
     imps = empires.imperialists
     n = imps.shape[1]
-    if 0 < threshold <= 1 / n:
+    if threshold <= 1 / n:
         keys = np.ascontiguousarray(imps).view(np.dtype((np.void, n * imps.itemsize))).ravel().tolist()
         if len(set(keys)) == count:
             return empires
@@ -447,26 +471,19 @@ def unite_similar_empires(empires: Empires, threshold: float, xi: float) -> Empi
                         break
                     if alive[j]:
                         merge(i, j)
-    if totals is None:
-        return empires
-    kept = [e for e in range(count) if alive[e]]
-    owned = [list(chain.from_iterable(groups[e])) for e in kept]
-    order = list(chain.from_iterable(owned))
-    countries = np.concatenate((empires.colonies, empires.imperialists))
-    costs = np.concatenate((empires.colony_costs, empires.imperialist_costs))
-    return Empires(
-        empires.imperialists[kept], empires.imperialist_costs[kept], countries[order], costs[order],
-        [len(o) for o in owned],
-    )
+    return absorb(empires, merges) if merges else empires
 
 
 def imperialistic_competition(empires: Empires, xi: float, rng: np.random.Generator) -> Empires:
     """The weakest empire loses its worst colony to a roulette-picked rival.
 
     Rivals are weighted by how far their total cost sits below the weakest
-    empire's.  A colony-less weakest empire hands over its imperialist and is
-    dissolved.  Ties for weakest empire and worst colony go to the highest
-    index.  The row moves, in place, to the end of the winner's colonies.
+    empire's.  A colony-less weakest empire is absorbed by that rival, as a
+    merged one is (`absorb`).  Ties for weakest empire and worst colony go to
+    the highest index.  Returns new Empires.  A worst colony moves to the end
+    of the winner's colonies by a shift of the rows between, made in
+    `empires`' own colony arrays, which the result shares: after such a move
+    `empires`' sizes no longer match its rows.
     """
     count = len(empires)
     if count < 2:
@@ -481,28 +498,20 @@ def imperialistic_competition(empires: Empires, xi: float, rng: np.random.Genera
         winner = rivals[int(rng.integers(len(rivals)))]
     b, cols, costs = empires.bounds, empires.colonies, empires.colony_costs
     s, t = b[weakest], b[weakest + 1]
-    if s < t:
-        worst = max(zip(costs[s:t].tolist(), range(s, t)))[1]
-        # after the worst row leaves, the winner's colonies end at `to`
-        to = b[winner + 1] - (weakest < winner)
-        lo, hi = sorted((worst, to))
-        down = worst < to
-        # the rows between shift one place toward `worst`, which takes slot `to`
-        for rows in (cols, costs):
-            leaving = rows[worst].copy()
-            rows[lo + 1 - down : hi + 1 - down] = rows[lo + down : hi + down]
-            rows[to] = leaving
-        empires.sizes[weakest] -= 1
-    else:
-        empires.colonies = np.insert(cols, b[winner + 1], empires.imperialists[weakest], axis=0)
-        empires.colony_costs = np.insert(costs, b[winner + 1], empires.imperialist_costs[weakest])
-        empires.imperialists = np.delete(empires.imperialists, weakest, axis=0)
-        empires.imperialist_costs = np.delete(empires.imperialist_costs, weakest)
-        del empires.sizes[weakest]
-        winner -= weakest < winner
-    empires.sizes[winner] += 1
-    empires.bounds = list(accumulate(empires.sizes, initial=0))
-    return empires
+    if s == t:
+        return absorb(empires, [(winner, weakest)])
+    worst = max(zip(costs[s:t].tolist(), range(s, t)))[1]
+    # after the worst row leaves, the winner's colonies end at `to`
+    to = b[winner + 1] - (weakest < winner)
+    lo, hi = sorted((worst, to))
+    down = worst < to
+    # the rows between shift one place toward `worst`, which takes slot `to`
+    for rows in (cols, costs):
+        leaving = rows[worst].copy()
+        rows[lo + 1 - down : hi + 1 - down] = rows[lo + down : hi + down]
+        rows[to] = leaving
+    sizes = [size - (e == weakest) + (e == winner) for e, size in enumerate(empires.sizes)]
+    return Empires(empires.imperialists, empires.imperialist_costs, cols, costs, sizes)
 
 
 def run_dica(g: Graph, params: DicaParams, _inspect: InspectFn | None = None) -> RunResult:

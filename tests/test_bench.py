@@ -84,8 +84,9 @@ class TestRunTrials:
         assert len(records) == 3
         assert {r.algorithm for r in records} == {"ga"}
 
-    def test_reported_success_is_recomputed_not_trusted(self, monkeypatch):
-        # a solver that lies about conflicts must still be caught
+    @pytest.mark.parametrize("algo, params", [("dica", FAST_DICA), ("ga", FAST_GA)], ids=["dica", "ga"])
+    def test_reported_success_is_recomputed_not_trusted(self, monkeypatch, algo, params):
+        # a solver that lies about conflicts must still be caught, whichever engine it stands in for
         def lying_solver(g, params):
             return RunResult(
                 best=(1, 1, 1),
@@ -97,9 +98,9 @@ class TestRunTrials:
                 terminated_by="decades_exhausted",
             )
 
-        monkeypatch.setattr("colorica.bench.run_dica", lying_solver)
+        monkeypatch.setattr(f"colorica.bench.run_{algo}", lying_solver)
         g, meta = _k3_meta()
-        records = run_trials(g, meta, "dica", FAST_DICA, runs=2)
+        records = run_trials(g, meta, algo, params, runs=2)
         for r in records:
             assert not r.success
             assert r.conflicts == 3

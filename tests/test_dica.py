@@ -21,6 +21,7 @@ from colorica import dica
 from colorica.dica import (
     DicaParams,
     Empires,
+    absorb,
     assimilate,
     assimilate_at,
     colony_step,
@@ -799,6 +800,31 @@ class TestUnite:
         assert merged.sizes == [2, 0] and merged.colony_costs.tolist() == [3.0, 4.0]
 
 
+class TestAbsorb:
+    def test_chained_merges_carry_colonies_in_order(self):
+        # B (1) goes into A (0), then A into C (2); D (3) takes no part
+        empires = _empires((1, [11, 12]), (2, [21]), (3, [31, 32]), (4, [41]))
+        before = _state(empires)
+        (a_imp, _, a_cols, _), (b_imp, _, b_cols, _), (c_imp, _, c_cols, _), d = before
+        merged = absorb(empires, [(0, 1), (2, 0)])
+        assert _state(empires) == before
+        assert merged.sizes == [7, 1]
+        # C's own colonies, then A's imperialist and colonies, then B's imperialist and colonies
+        assert _state(merged) == [
+            [c_imp, 3.0, [*c_cols, a_imp, *a_cols, b_imp, *b_cols], [31.0, 32.0, 1.0, 11.0, 12.0, 2.0, 21.0]],
+            d,
+        ]
+
+    def test_colony_less_loser_hands_over_its_imperialist(self):
+        empires = _empires((1, [2]), (9, []), (3, [4]))
+        weak = empires.imperialists[1].tolist()
+        merged = absorb(empires, [(2, 1)])
+        assert merged.sizes == [1, 2]
+        assert merged.imperialist_costs.tolist() == [1.0, 3.0]
+        assert merged.colony_costs.tolist() == [2.0, 4.0, 9.0]
+        assert merged.colonies[2].tolist() == weak
+
+
 def _unite_all_pairs(empires, threshold, xi, nearest_first=False):
     """The merge rule measured over every pair of imperialists, on per-empire
     lists: close pairs go by (i, j), or by (distance, i, j) given `nearest_first`."""
@@ -1011,6 +1037,16 @@ class TestCompetition:
             assert after.sizes[2] == 0  # tie for weakest goes to the last
             winners.update(i for i in range(2) if after.sizes[i] > 1)
         assert winners == {0, 1}
+
+    @pytest.mark.parametrize("specs", [((1, [2]), (9, [10, 30, 20])), ((1, [2]), (9, []), (3, [4]))],
+                             ids=["move", "collapse"])
+    def test_returns_new_empires_and_leaves_the_given_sizes(self, specs):
+        empires = _empires(*specs)
+        sizes, bounds = empires.sizes, empires.bounds
+        before = (list(sizes), list(bounds))
+        after = imperialistic_competition(empires, 0.0, np.random.default_rng(0))
+        assert after is not empires and after.sizes is not sizes
+        assert empires.sizes is sizes and empires.bounds is bounds and (sizes, bounds) == before
 
     def test_single_empire_skips(self):
         only = _empires((3, [4]))

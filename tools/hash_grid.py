@@ -58,14 +58,17 @@ GA_GENERATIONS = 30
 
 
 def grid_digests(graphs, seeds, kwargs, engines=("dica", "ga")) -> dict[str, str]:
-    """The sha256 of each engine's result reprs over the grid, as hex."""
+    """The sha256 of each engine's result reprs over the grid, as hex.  `kwargs`
+    is a sequence of keyword sets, or a callable (generator, param) -> list of
+    keyword sets that gives each graph its own."""
     import colorica
 
     hashes = {engine: hashlib.sha256() for engine in engines}
     for generator, param in graphs:
         g = getattr(colorica, generator)(param)
+        graph_kwargs = kwargs(generator, param) if callable(kwargs) else kwargs
         for s in seeds:
-            for kw in kwargs:
+            for kw in graph_kwargs:
                 if "dica" in hashes:
                     dica = colorica.run_dica(g, colorica.DicaParams(rng_seed=s, **kw))
                     hashes["dica"].update(repr(dica).encode())
@@ -98,14 +101,11 @@ def gate_digest(graphs, seeds) -> str:
     """The sha256 of dica's result reprs over the grid at the acceptance settings, as hex."""
     import colorica
 
-    digest = hashlib.sha256()
-    for generator, param in graphs:
-        g = getattr(colorica, generator)(param)
+    def settings(generator, param):
         chi = colorica.family_chromatic(generator.removesuffix("_graph"), param)
-        for s in seeds:
-            params = colorica.DicaParams(rng_seed=s, k_max=chi, early_stop_at_chromatic=True, known_chromatic=chi)
-            digest.update(repr(colorica.run_dica(g, params)).encode())
-    return digest.hexdigest()
+        return [{"k_max": chi, "known_chromatic": chi, "early_stop_at_chromatic": True}]
+
+    return grid_digests(graphs, seeds, settings, engines=("dica",))["dica"]
 
 
 def main() -> int:
