@@ -1,8 +1,8 @@
 """What both population engines share: the common parameters, checked when
 made, the default penalty, the initial population, the cost-then-index
-ranking, the cut points and segment copy of assimilation and crossover (one
-row or a batch), the roulette wheel, the result, `BestSoFar`, the run
-contract (an engine only makes batches of rows and offers them), and
+ranking, the cut points, segment mask and segment copy of assimilation and
+crossover (one row or a batch), the roulette wheel, the result, `BestSoFar`,
+the run contract (an engine only makes batches of rows and offers them), and
 `run_search`, the one run loop both engines step through.
 """
 
@@ -26,8 +26,9 @@ TERMINATED_EARLY_STOP = "early_stop"
 # 2^23 int64 cells are 64 MB, room for the default 300 countries at the
 # 16384-vertex input bound.  ga holds two such arrays at once, its population
 # and the next generation's, which it fills from the first and then crosses
-# over in row chunks of coloring.BATCH_CELLS cells; a ga run at the bound
-# (population 512 on a 16384-vertex path, 10 generations) peaks near 220 MB
+# over in chunks of whole pairs of about coloring.BATCH_CELLS cells; a ga run
+# at the bound (population 512 on a 16384-vertex path, 10 generations) peaks
+# near 190 MB
 MAX_POPULATION_CELLS = 1 << 23
 
 
@@ -125,9 +126,13 @@ def rank(costs) -> list[int]:
 
 
 def cut_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, 2) 1-based cut points c1 <= c2: two independent uniform draws, sorted."""
+    """(count, 2) 1-based cut points c1 <= c2: two independent uniform draws,
+    each pair ordered by np.minimum and np.maximum, the array sort(axis=1) gives."""
     cuts = rng.integers(1, n + 1, size=(count, 2))
-    cuts.sort(axis=1)
+    first, second = cuts.T
+    low = np.minimum(first, second)
+    np.maximum(first, second, out=second)
+    first[:] = low
     return cuts
 
 
@@ -142,17 +147,22 @@ def copy_segment(donor, base, c1: int, c2: int) -> np.ndarray:
     return copy_segments(src[None], child[None], np.array([[c1, c2]]))[0]
 
 
-def copy_segments(donors: np.ndarray, bases: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """`copy_segment` on a whole (count, n) batch: row i of `bases` with row i of
-    `donors`' cells cuts[i, 0]..cuts[i, 1] (1-based, inclusive), as a new array.
-    Cuts clipped to 0..n + 1 keep their cells, so they compare in the type of n + 1."""
-    n = bases.shape[1]
+def segment_mask(n: int, cuts: np.ndarray) -> np.ndarray:
+    """The (count, n) bool mask of `cuts`: row i true at cells cuts[i, 0]..cuts[i, 1]
+    (1-based, inclusive).  Cuts clipped to 0..n + 1 keep their cells, so they
+    compare in the narrowest unsigned type that holds n + 1."""
     kind = np.min_scalar_type(n + 1)
     cell = np.arange(1, n + 1, dtype=kind)
     # np.minimum and np.maximum, not np.clip, whose checks cost more than the whole mask here
     cuts = np.minimum(np.maximum(cuts, 0), n + 1).astype(kind)
-    inside = (cuts[:, :1] <= cell) & (cell <= cuts[:, 1:])
-    return np.where(inside, donors, bases)
+    return (cuts[:, :1] <= cell) & (cell <= cuts[:, 1:])
+
+
+def copy_segments(donors: np.ndarray, bases: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """`copy_segment` on a whole (count, n) batch: row i of `bases` with row i of
+    `donors`' cells cuts[i, 0]..cuts[i, 1] (1-based, inclusive), as a new array,
+    by one masked copy through `segment_mask`."""
+    return np.where(segment_mask(bases.shape[1], cuts), donors, bases)
 
 
 def roulette_wheel(weights) -> tuple[np.ndarray, float]:

@@ -21,12 +21,11 @@ from .engine import (
     RunResult,
     SearchParams,
     copy_segment,
-    copy_segments,
     cut_points,
     init_population,
-    rank,
     roulette_wheel,
     run_search,
+    segment_mask,
     spin,
 )
 from .graphs import Graph
@@ -112,28 +111,32 @@ def breed(pool: np.ndarray, costs, elite, k_max: int, params: GaParams, rng) -> 
     points, mutation coins, cells and colours are drawn in one call each, in
     that order.  Child 2i is pair i's first parent with the second's segment,
     child 2i+1 the reverse; an odd child count drops the last pair's second
-    child.  Each child starts as a copy of its base parent; the segments of
-    the crossing children are pasted in row chunks of about BATCH_CELLS cells.
+    child.  Each child starts as a copy of its base parent; the segments are
+    then pasted in chunks of whole pairs, about BATCH_CELLS cells each, by one
+    masked copy a chunk from the donor rows, its mask each pair's
+    `segment_mask` if the pair crosses over (else all false), repeated to both
+    of the pair's children.
     """
     size, n = pool.shape
     count = size - len(elite)
     pairs = (count + 1) // 2
     parents = spin(_fitness_wheel(costs), rng.random((pairs, 2)))
     crossed = rng.random(pairs) < params.selection_probability
-    cuts = cut_points(n, pairs, rng).repeat(2, axis=0)[:count]
+    cuts = cut_points(n, pairs, rng)
     bases = parents.ravel()[:count]
     donors = parents[:, ::-1].ravel()[:count]
-    # only the children of a pair that crosses over take a donor's segment
-    crossing = np.flatnonzero(crossed.repeat(2)[:count])
     nxt = np.empty_like(pool)
     nxt[: len(elite)] = pool[elite]
     children = nxt[len(elite) :]
     # mode="clip" (the indices are in range) writes `out` without a buffer copy
     np.take(pool, bases, axis=0, out=children, mode="clip")
-    step = max(1, BATCH_CELLS // n)
-    for start in range(0, crossing.size, step):
-        rows = crossing[start : start + step]
-        children[rows] = copy_segments(pool[donors[rows]], children[rows], cuts[rows])
+    step = max(1, BATCH_CELLS // (2 * n))
+    for start in range(0, pairs, step):
+        p = slice(start, start + step)
+        rows = slice(2 * start, 2 * (start + step))
+        picked = donors[rows]
+        mask = (segment_mask(n, cuts[p]) & crossed[p, None]).repeat(2, axis=0)[: len(picked)]
+        np.copyto(children[rows], pool[picked], where=mask)
     mutants = np.flatnonzero(rng.random(count) < params.mutation_rate)
     cells = rng.integers(n, size=mutants.size)
     colours = rng.integers(1, k_max + 1, size=mutants.size)
@@ -146,7 +149,7 @@ def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
     deterministic for a given (graph, params) pair.
 
     A generation is one (size, n) array, built by one `breed` call (its
-    `elitism_count` cheapest rows by `rank`, carried over unchanged, then the
+    `elitism_count` cheapest rows, carried over unchanged, then the
     children), and one float64 array of its costs.  The initial population and
     each generation's children are offered to `BestSoFar`, which counts them,
     keeps the first cheapest and returns their costs.  `_inspect` gets the
@@ -164,7 +167,8 @@ def run_ga(g: Graph, params: GaParams, _inspect=None) -> RunResult:
             # the same object, each child a new one
             population = None
         for generation in count():
-            elite = rank(costs)[:kept]
+            # `rank`'s order, by cost then index, kept as an array
+            elite = np.argsort(costs, kind="stable")[:kept]
             pool = breed(pool, costs, elite, k_max, params, rng)
             children = pool[kept:]
             costs = np.concatenate((costs[elite], best.offer(children)))

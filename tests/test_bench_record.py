@@ -103,3 +103,50 @@ class TestRunOnce:
         run = bench_record.run_once(root, "harness-easy", 5, ["op_s.p50"])
         assert run["metrics"] == {"op_s.p50": 1.5} and run["units"] == {"op_s.p50": "s"}
         assert (run["seed"], run["correct"], run["exact"], run["provenance"]) == (5, True, {}, {})
+
+
+class TestTurnOrder:
+    """Which slot each label runs in, seed by seed: main with `run_once` patched
+    to record the order, over fake checkouts whose BENCHMARK.json lists one workload."""
+
+    @staticmethod
+    def _orders(bench_record, monkeypatch, tmp_path, labels):
+        spec = {"workloads": [{"name": "w"}], "end_to_end": [{"name": "op_s.p50"}]}
+        argv, owner = [], {}
+        for label in labels:
+            root = tmp_path / label
+            (root / "perfbench").mkdir(parents=True)
+            (root / "perfbench" / "run.py").write_text("")
+            (root / "BENCHMARK.json").write_text(json.dumps(spec))
+            argv.append(f"{label}={root}")
+            owner[root] = label
+        calls = []
+
+        def run_once(root, workload, seed, expected):
+            calls.append((seed, owner[root]))
+            return {"seed": seed, "metrics": {"op_s.p50": 1.0}, "units": {"op_s.p50": "s"}, "provenance": {}}
+
+        monkeypatch.setattr(bench_record, "run_once", run_once)
+        monkeypatch.chdir(tmp_path)
+        assert bench_record.main(argv) == 0
+        assert sorted(p.name for p in tmp_path.glob("BENCH_*.json")) == sorted(f"BENCH_{x}.json" for x in labels)
+        seeds = [bench_record.SEED_BASE + i for i in range(bench_record.SEEDS)]
+        assert [seed for seed, _ in calls] == [s for s in seeds for _ in labels]
+        return [[label for seed, label in calls if seed == s] for s in seeds]
+
+    def test_three_labels_split_every_pair_and_hold_every_slot(self, bench_record, monkeypatch, tmp_path):
+        labels = ["parent", "control", "change"]
+        orders = self._orders(bench_record, monkeypatch, tmp_path, labels)
+        assert orders[:3] == [labels, labels[::-1], ["control", "change", "parent"]]
+        for a in labels:
+            for b in labels:
+                if a != b:
+                    assert sum(o.index(a) < o.index(b) for o in orders) == 5
+            assert all(sum(o.index(a) == slot for o in orders) >= 2 for slot in range(3))
+
+    def test_two_labels_each_go_first_on_five_seeds(self, bench_record, monkeypatch, tmp_path):
+        orders = self._orders(bench_record, monkeypatch, tmp_path, ["old", "new"])
+        assert sum(o[0] == "old" for o in orders) == sum(o[0] == "new" for o in orders) == 5
+
+    def test_one_label_runs_alone(self, bench_record, monkeypatch, tmp_path):
+        assert self._orders(bench_record, monkeypatch, tmp_path, ["only"]) == [["only"]] * 10

@@ -31,6 +31,7 @@ from colorica.engine import (
     rank,
     roulette_wheel,
     run_search,
+    segment_mask,
     spin,
 )
 from colorica.ga import GaParams, run_ga
@@ -76,6 +77,18 @@ class TestRouletteWheel:
         assert roulette_wheel([0.5, 0.25, 0.25])[1] == 1.0
 
 
+class TestCutPoints:
+    @pytest.mark.parametrize("n", [1, 2, 47, 49, 1000])
+    @pytest.mark.parametrize("count", [0, 1, 150, 299])
+    def test_batch_is_the_sorted_pair_of_the_same_draws(self, n, count):
+        ours, other = np.random.default_rng(n * 1000 + count), np.random.default_rng(n * 1000 + count)
+        cuts = cut_points(n, count, ours)
+        want = np.sort(other.integers(1, n + 1, size=(count, 2)), axis=1)
+        assert cuts.dtype == np.int64 and cuts.shape == (count, 2)
+        assert np.array_equal(cuts, want)
+        assert ours.bit_generator.state == other.bit_generator.state
+
+
 class TestCopySegments:
     def test_each_row_takes_the_donors_slice(self):
         gen = np.random.default_rng(17)
@@ -101,8 +114,9 @@ class TestCopySegments:
         donors = gen.integers(1, 9, size=(len(cuts), n))
         bases = gen.integers(1, 9, size=(len(cuts), n))
         cell = np.arange(1, n + 1, dtype=np.int64)
-        want = np.where((cuts[:, :1] <= cell) & (cell <= cuts[:, 1:]), donors, bases)
-        assert np.array_equal(copy_segments(donors, bases, cuts), want)
+        inside = (cuts[:, :1] <= cell) & (cell <= cuts[:, 1:])
+        assert np.array_equal(segment_mask(n, cuts), inside)
+        assert np.array_equal(copy_segments(donors, bases, cuts), np.where(inside, donors, bases))
 
     def test_inputs_unchanged(self):
         donors, bases = np.ones((2, 4), dtype=np.int64), np.zeros((2, 4), dtype=np.int64)

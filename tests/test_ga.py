@@ -443,6 +443,26 @@ class TestBreed:
         assert parents.shape == (4, 2)
         np.testing.assert_array_equal(nxt[1:], pool[parents.ravel()[:7]])
 
+    @pytest.mark.parametrize("cells", [13, 26, 39, 52, 78, 91])
+    def test_chunks_of_whole_pairs_give_the_one_chunk_generation(self, monkeypatch, cells):
+        # n = 13, so a pair's two children are 26 cells: a chunk of 1, 2 or 3
+        # pairs, or of one pair when BATCH_CELLS holds less than that; 9 children
+        # are 5 pairs, the last with one child, so every case takes 2-5 chunks
+        params = GaParams(population_size=11, elitism_count=2, selection_probability=0.7, mutation_rate=0.5)
+
+        def generations(rng):
+            pool = rng.integers(1, self.K_MAX + 1, size=(11, 13))
+            out = []
+            for _ in range(6):
+                costs = (pool % 7).sum(axis=1).astype(float)
+                pool = breed(pool, costs, np.argsort(costs, kind="stable")[:2], self.K_MAX, params, rng)
+                out.append(pool.tolist())
+            return out, rng.random()
+
+        want = generations(np.random.default_rng(cells))
+        monkeypatch.setattr(colorica.ga, "BATCH_CELLS", cells)
+        assert generations(np.random.default_rng(cells)) == want
+
     @pytest.mark.parametrize("seed", range(3))
     def test_colours_stay_within_k_max(self, seed):
         g = complete_graph(6)

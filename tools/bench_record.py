@@ -5,8 +5,12 @@
 Each LABEL names one colorica checkout (the current directory when no
 CHECKOUT is given).  For each of the ten seeds 31-40, every workload listed
 in the first checkout's BENCHMARK.json runs once per checkout with
-`python3 perfbench/run.py --seconds 40 --trace 0`, the checkouts taking turns
-to go first, so that two labels recorded together form alternating pairs.
+`python3 perfbench/run.py --seconds 40 --trace 0`.  Seed i runs the labels
+in their given order rotated by (i // 2) % k, for k labels, and reversed
+when i is odd, so no label always runs in the same slot: over the ten seeds
+each of two labels goes first five times, and with three labels each pair
+of labels splits first place 5/5 and each label holds each slot at least
+twice.
 Each BENCH_<label>.json, written to the current directory, holds the median
 and quartiles of every end-to-end metric per workload, every run's metrics
 and exact counts, and the provenance line of the runs (Python, numpy, CPU,
@@ -85,6 +89,14 @@ def summarize(runs: list[dict]) -> dict:
     return out
 
 
+def turn(labels: list[str], i: int) -> list[str]:
+    """The order seed number i (0-based) runs `labels` in: rotated by
+    (i // 2) % len(labels), reversed when i is odd."""
+    shift = (i // 2) % len(labels)
+    order = labels[shift:] + labels[:shift]
+    return order[::-1] if i % 2 else order
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     first = next(iter(args.checkouts.values()))
@@ -96,7 +108,7 @@ def main(argv=None) -> int:
     seeds = [SEED_BASE + i for i in range(SEEDS)]
     for i, seed in enumerate(seeds):
         for workload in workloads:
-            for label in order if i % 2 == 0 else order[::-1]:
+            for label in turn(order, i):
                 run = run_once(args.checkouts[label], workload, seed, expected)
                 runs[label][workload].append(run)
                 print(f"{label} {workload} seed {seed}: op_s.p50 {run['metrics']['op_s.p50']:.4f}", file=sys.stderr)
